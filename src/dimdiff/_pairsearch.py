@@ -7,21 +7,32 @@ splits with numpy.  They must return exactly the witness the generic
 enumeration would return: splits are encoded as item-indexed bitmasks (bit
 set = item goes to agent 1, item 0 in the most significant position), so
 ascending mask order equals the generic lexicographic assignment order.
+
+Both kernels walk their split space in ascending order through one
+early-exit loop, :func:`_first_split`.  Its chunks grow geometrically
+(64 masks, then four times as many each step up to ``_CHUNK``), so a
+witness early in the order costs one small chunk, while a full sweep still
+takes few chunks.
 """
 
 from __future__ import annotations
 
+import time
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from .exceptions import BudgetExceededError
+
+_FIRST_CHUNK = 64
+_GROWTH = 4
 _CHUNK = 8192
 
 
 @lru_cache(maxsize=32)
-def _equal_split_tables(item_count: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """All masks with ``size`` bits set, ascending, plus their bit matrix."""
+def _equal_split_masks(item_count: int, size: int) -> np.ndarray:
+    """All masks with ``size`` bits set, ascending (Gosper order)."""
     masks = []
     mask = (1 << size) - 1
     limit = 1 << item_count
@@ -33,85 +44,66 @@ def _equal_split_tables(item_count: int, size: int) -> tuple[np.ndarray, np.ndar
         mask = ripple | (((mask ^ ripple) >> 2) // low)
         if low == 0:  # pragma: no cover - size == 0 handled by caller
             break
-    arr = np.array(masks, dtype=np.int64)
-    return arr, _bits_of(arr, item_count)
+    table = np.array(masks, dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
-def _bits_of(masks: np.ndarray, item_count: int) -> np.ndarray:
-    shifts = np.arange(item_count - 1, -1, -1, dtype=np.int64)
-    return ((masks[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+@lru_cache(maxsize=64)
+def _rank_constants(item_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thresholds j = 1..M, the level M+1-j of the j-th best item, and
+    full[k], the total level of the k best items of the full item set
+    (k = 0..2M; a doubled bundle is compared against the full set)."""
+    j = np.arange(1, item_count + 1, dtype=np.int64)
+    capped = np.minimum(np.arange(2 * item_count + 1, dtype=np.int64), item_count)
+    constants = (j, j[::-1].copy(), capped * item_count - capped * (capped - 1) // 2)
+    for array in constants:
+        array.setflags(write=False)  # shared by every caller through the cache
+    return constants
 
 
-def _full_prefix_levels(item_count: int) -> np.ndarray:
-    """prefix[k] = total level of the k best items of the full item set."""
-    k = np.arange(2 * item_count + 1, dtype=np.int64)
-    capped = np.minimum(k, item_count)
-    return capped * item_count - capped * (capped - 1) // 2
+# Each relation test takes ``held``, one row per split whose column r is 1
+# when the agent holds its (r+1)-th best item, and returns a verdict per row.
 
 
-def _rank_statistics(
-    bits: np.ndarray, perm: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-split membership, cumulative counts and cumulative levels by rank."""
-    item_count = bits.shape[1]
-    ranked = bits[:, perm]
-    counts = np.cumsum(ranked, axis=1, dtype=np.int64)
-    levels = (item_count - np.arange(item_count, dtype=np.int64))[None, :]
-    cumulative_levels = np.cumsum(ranked * levels, axis=1, dtype=np.int64)
-    return ranked.astype(bool), counts, cumulative_levels
-
-
-@lru_cache(maxsize=8)
-def _equal_rank_statistics(
-    item_count: int, perm: tuple[int, ...], invert: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The relation checks for both equal-split relations share these arrays;
-    # the cache keeps them alive across the per-trial relation calls.
-    _, bits = _equal_split_tables(item_count, item_count // 2)
-    side = 1 - bits if invert else bits
-    return _rank_statistics(side, np.array(perm, dtype=np.int64))
-
-
-def _ok_nec(stats: tuple[np.ndarray, np.ndarray, np.ndarray], item_count: int) -> np.ndarray:
+def _ok_nec(held: np.ndarray) -> np.ndarray:
     # Doubled bundle count-dominates the full set at every threshold:
     # among the agent's j best items the split holds at least ceil(j/2).
-    _, counts, _ = stats
-    j = np.arange(1, item_count + 1, dtype=np.int64)[None, :]
-    return (2 * counts >= j).all(axis=1)
+    j, _, _ = _rank_constants(held.shape[1])
+    return (2 * np.cumsum(held, axis=1) >= j).all(axis=1)
 
 
-def _ok_pos(stats: tuple[np.ndarray, np.ndarray, np.ndarray], item_count: int) -> np.ndarray:
+def _ok_pos(held: np.ndarray) -> np.ndarray:
     # Dual: some threshold where the doubled bundle is not strictly beaten.
-    _, counts, _ = stats
-    j = np.arange(1, item_count + 1, dtype=np.int64)[None, :]
-    return (2 * counts >= j).any(axis=1)
+    j, _, _ = _rank_constants(held.shape[1])
+    return (2 * np.cumsum(held, axis=1) >= j).any(axis=1)
 
 
-def _ok_ndd(stats: tuple[np.ndarray, np.ndarray, np.ndarray], item_count: int) -> np.ndarray:
+def _ok_ndd(held: np.ndarray) -> np.ndarray:
     # Equal splits only: every prefix of the doubled bundle weakly dominates
     # the full set's prefix.  At a selected rank with running count c the
     # doubled prefixes of length 2c and 2c-1 are tested; together these cover
     # every prefix length.
-    ranked, counts, cum_levels = stats
-    levels = (item_count - np.arange(item_count, dtype=np.int64))[None, :]
-    full = _full_prefix_levels(item_count)
-    even_ok = 2 * cum_levels >= full[2 * counts]
-    odd_ok = 2 * cum_levels - levels >= full[np.maximum(2 * counts - 1, 0)]
-    return np.where(ranked, even_ok & odd_ok, True).all(axis=1)
+    _, levels, full = _rank_constants(held.shape[1])
+    counts = np.cumsum(held, axis=1)
+    doubled = 2 * np.cumsum(held * levels, axis=1)
+    even_ok = doubled >= full[2 * counts]
+    odd_ok = doubled - levels >= full[np.maximum(2 * counts - 1, 0)]
+    return ((even_ok & odd_ok) | (held == 0)).all(axis=1)
 
 
-def _ok_pdd(stats: tuple[np.ndarray, np.ndarray, np.ndarray], item_count: int) -> np.ndarray:
+def _ok_pdd(held: np.ndarray) -> np.ndarray:
     # Any split size: strictly larger than the full set, or a strictly
     # winning prefix, or a weakly dominating total level.
-    ranked, counts, cum_levels = stats
-    levels = (item_count - np.arange(item_count, dtype=np.int64))[None, :]
-    full = _full_prefix_levels(item_count)
-    sizes = counts[:, -1]
-    larger = 2 * sizes > item_count
-    total_ok = 2 * cum_levels[:, -1] >= item_count * (item_count + 1) // 2
-    even_win = 2 * cum_levels - full[2 * counts] >= 1
-    odd_win = 2 * cum_levels - levels - full[np.maximum(2 * counts - 1, 0)] >= 1
-    prefix_win = (ranked & (even_win | odd_win)).any(axis=1)
+    item_count = held.shape[1]
+    _, levels, full = _rank_constants(item_count)
+    counts = np.cumsum(held, axis=1)
+    doubled = 2 * np.cumsum(held * levels, axis=1)
+    larger = 2 * counts[:, -1] > item_count
+    total_ok = doubled[:, -1] >= item_count * (item_count + 1) // 2
+    even_win = doubled > full[2 * counts]
+    odd_win = doubled - levels > full[np.maximum(2 * counts - 1, 0)]
+    prefix_win = ((even_win | odd_win) & (held != 0)).any(axis=1)
     return larger | prefix_win | total_ok
 
 
@@ -119,24 +111,98 @@ _EQUAL_SPLIT_OK = {"nec": _ok_nec, "ndd": _ok_ndd}
 _ANY_SPLIT_OK = {"pos": _ok_pos, "pdd": _ok_pdd}
 
 
+def _chunks(limit: int) -> Iterator[tuple[int, int]]:
+    """Consecutive [start, stop) spans of 0..limit: 64, 256, ... up to _CHUNK."""
+    start, size = 0, _FIRST_CHUNK
+    while start < limit:
+        stop = min(start + size, limit)
+        yield start, stop
+        start, size = stop, min(size * _GROWTH, _CHUNK)
+
+
+def _scan_limit(total: int, max_states: Optional[int]) -> int:
+    return total if max_states is None else max(0, min(total, max_states))
+
+
+def _first_split(
+    masks_at: Callable[[int, int], np.ndarray],
+    total: int,
+    accept: Callable[[np.ndarray], np.ndarray],
+    max_states: Optional[int],
+    deadline: Optional[float],
+) -> tuple[Optional[int], int]:
+    """First mask of positions 0..total-1 that ``accept`` passes.
+
+    ``masks_at(start, stop)`` gives the masks at those positions and
+    ``accept`` scores a block of masks.  Returns (mask, position + 1), or
+    (None, positions scanned) when no mask within ``max_states`` positions
+    passes.  The deadline (a ``time.monotonic`` value) is checked between
+    chunks, so an expired one raises only when a second chunk is needed.
+    """
+    limit = _scan_limit(total, max_states)
+    for start, stop in _chunks(limit):
+        if start and deadline is not None and time.monotonic() >= deadline:
+            raise BudgetExceededError(f"search exceeded its time limit after {start} states")
+        masks = masks_at(start, stop)
+        hits = np.flatnonzero(accept(masks))
+        if hits.size:
+            return int(masks[hits[0]]), start + int(hits[0]) + 1
+    return None, limit
+
+
+def _both_agents(
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    item_count: int,
+    perm_first: tuple[int, ...],
+    perm_second: tuple[int, ...],
+) -> Callable[[np.ndarray], np.ndarray]:
+    # Shifting a mask right by these moves the bit of the agent's r-th best
+    # item to the bottom; agent 0 holds the clear bits, so its masks are
+    # complemented first.
+    shifts_first = item_count - 1 - np.array(perm_first, dtype=np.int64)
+    shifts_second = item_count - 1 - np.array(perm_second, dtype=np.int64)
+
+    def accept(masks: np.ndarray) -> np.ndarray:
+        ok = evaluate((masks[:, None] >> shifts_second) & 1)
+        survivors = np.flatnonzero(ok)
+        ok[survivors] = evaluate((~masks[survivors, None] >> shifts_first) & 1)
+        return ok
+
+    return accept
+
+
 def first_equal_split(
     item_count: int,
     perm_first: tuple[int, ...],
     perm_second: tuple[int, ...],
     relation: str,
+    max_states: Optional[int] = None,
+    deadline: Optional[float] = None,
 ) -> tuple[Optional[int], int]:
     """First balanced split satisfying the relation for both agents.
 
-    Returns (mask, states scanned); the mask encodes agent 1's bundle.
+    Returns (mask, states scanned); the mask encodes agent 1's bundle and
+    the states are its Gosper position + 1, or the number of positions
+    scanned when no split qualifies.  Both relations demand that each agent
+    holds its own best item (the one-item prefix), so only such splits are
+    scored, and agents sharing a best item have no qualifying split.
     """
-    evaluate = _EQUAL_SPLIT_OK[relation]
-    masks, _ = _equal_split_tables(item_count, item_count // 2)
-    ok = evaluate(_equal_rank_statistics(item_count, perm_first, True), item_count)
-    ok = ok & evaluate(_equal_rank_statistics(item_count, perm_second, False), item_count)
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        return None, len(masks)
-    return int(masks[hits[0]]), int(hits[0]) + 1
+    masks = _equal_split_masks(item_count, item_count // 2)
+    if perm_first[0] == perm_second[0]:
+        return None, _scan_limit(len(masks), max_states)
+    first_bit = 1 << (item_count - 1 - perm_first[0])
+    second_bit = 1 << (item_count - 1 - perm_second[0])
+    both = _both_agents(_EQUAL_SPLIT_OK[relation], item_count, perm_first, perm_second)
+
+    def accept(chunk: np.ndarray) -> np.ndarray:
+        ok = ((chunk & first_bit) == 0) & ((chunk & second_bit) != 0)
+        kept = np.flatnonzero(ok)
+        ok[kept] = both(chunk[kept])
+        return ok
+
+    return _first_split(
+        lambda start, stop: masks[start:stop], len(masks), accept, max_states, deadline
+    )
 
 
 def first_any_split(
@@ -145,36 +211,23 @@ def first_any_split(
     perm_second: tuple[int, ...],
     relation: str,
     max_states: Optional[int] = None,
+    deadline: Optional[float] = None,
 ) -> tuple[Optional[int], int]:
     """First split of any size satisfying the relation for both agents.
 
-    Scans the 2^M split space in ascending mask order, chunk by chunk, so a
-    witness early in the order never costs a full sweep.  Raises nothing on
-    exhaustion; the caller owns budget errors via the returned state count.
+    Scans the 2^M split space in ascending mask order.  Returns (mask, mask
+    + 1), or (None, states scanned) when no split within ``max_states``
+    qualifies; the caller tells exhaustion from a spent budget by comparing
+    the states with 2^M.
     """
-    evaluate = _ANY_SPLIT_OK[relation]
-    p0 = np.array(perm_first, dtype=np.int64)
-    p1 = np.array(perm_second, dtype=np.int64)
-    total = 1 << item_count
-    scanned = 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        if max_states is not None and stop > max_states:
-            stop = max_states
-        if stop <= start:
-            break
-        masks = np.arange(start, stop, dtype=np.int64)
-        bits = _bits_of(masks, item_count)
-        ok = evaluate(_rank_statistics(1 - bits, p0), item_count)
-        ok = ok & evaluate(_rank_statistics(bits, p1), item_count)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            scanned += int(hits[0]) + 1
-            return int(masks[hits[0]]), scanned
-        scanned += stop - start
-        if max_states is not None and scanned >= max_states:
-            break
-    return None, scanned
+    accept = _both_agents(_ANY_SPLIT_OK[relation], item_count, perm_first, perm_second)
+    return _first_split(
+        lambda start, stop: np.arange(start, stop, dtype=np.int64),
+        1 << item_count,
+        accept,
+        max_states,
+        deadline,
+    )
 
 
 def mask_to_bundles(mask: int, item_count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

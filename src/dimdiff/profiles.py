@@ -36,7 +36,22 @@ class NamedProfile:
             raise KeyError(f"unknown agent {name!r}") from None
 
 
+def _check_profile_shape(payload: object) -> None:
+    """Raise ValueError unless the payload has the documented JSON shape."""
+    if not isinstance(payload, dict):
+        raise ValueError("a profile must be a JSON object")
+    if not isinstance(payload.get("items"), list):
+        raise ValueError('profile "items" must be a list of item names')
+    agents = payload.get("agents")
+    if not isinstance(agents, list) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("ranking"), list)
+        for entry in agents
+    ):
+        raise ValueError('profile "agents" must be a list of objects with a "ranking" list')
+
+
 def profile_from_json(payload: dict) -> NamedProfile:
+    _check_profile_shape(payload)
     kind = ItemKind(payload["kind"])
     item_names = tuple(str(name) for name in payload["items"])
     if len(set(item_names)) != len(item_names):

@@ -66,6 +66,7 @@ so that every step along the cycle goes back at most two blocks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -121,7 +122,7 @@ def solve_x3c(x3c: X3CInstance) -> Optional[tuple[int, ...]]:
     Exhaustive over all selections, first hit in lexicographic index order.
     """
     n, q = x3c.triplet_count, x3c.cover_size
-    if _binomial(n, q) > _SOLVER_STATE_LIMIT:
+    if math.comb(n, q) > _SOLVER_STATE_LIMIT:
         raise BudgetExceededError(f"C({n},{q}) selections exceed the solver limit")
     base = frozenset(range(x3c.base_size))
     for selection in itertools.combinations(range(n), q):
@@ -136,13 +137,6 @@ def solve_x3c(x3c: X3CInstance) -> Optional[tuple[int, ...]]:
         if ok and covered == base:
             return selection
     return None
-
-
-def _binomial(n: int, k: int) -> int:
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - k + i) // i
-    return result
 
 
 # ---------------------------------------------------------------------------

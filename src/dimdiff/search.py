@@ -9,6 +9,7 @@ are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -134,16 +135,9 @@ def count_allocations(instance: Instance, equal_sizes: bool = False) -> int:
     total = 1
     remaining = m
     for _ in range(n):
-        total *= _binomial(remaining, share)
+        total *= math.comb(remaining, share)
         remaining -= share
     return total
-
-
-def _binomial(n: int, k: int) -> int:
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - k + i) // i
-    return result
 
 
 def enumerate_allocations(
@@ -193,15 +187,15 @@ def exists_allocation(
     if equal and m % n:
         return None
 
+    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     if (
         n == 2
         and instance.kind is ItemKind.GOODS
         and goal.criterion is Criterion.PROPORTIONALITY
         and goal.extension in _FAST_PR_RELATIONS
     ):
-        return _exists_two_agent_pr(instance, goal, budget)
+        return _exists_two_agent_pr(instance, goal, budget, deadline)
 
-    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     states = 0
     for assignment in _assignments(n, m, equal):
         states += 1
@@ -218,28 +212,30 @@ def exists_allocation(
 
 
 def _exists_two_agent_pr(
-    instance: Instance, goal: AllocationGoal, budget: SearchBudget
+    instance: Instance,
+    goal: AllocationGoal,
+    budget: SearchBudget,
+    deadline: Optional[float],
 ) -> Optional[Allocation]:
     m = instance.item_count
-    relation = _FAST_PR_RELATIONS[goal.extension]
     perms = tuple(tuple(r.order) for r in instance.rankings)
-    if goal.forces_equal_sizes:
-        mask, states = _pairsearch.first_equal_split(m, perms[0], perms[1], relation)
-        total = count_allocations(instance, equal_sizes=True)
-        if (mask is not None and states > budget.max_states) or (
-            mask is None and total > budget.max_states
-        ):
-            raise BudgetExceededError(
-                f"search exceeded its budget of {budget.max_states} states"
-            )
-    else:
-        mask, scanned = _pairsearch.first_any_split(
-            m, perms[0], perms[1], relation, max_states=budget.max_states
+    kernel = (
+        _pairsearch.first_equal_split
+        if goal.forces_equal_sizes
+        else _pairsearch.first_any_split
+    )
+    mask, states = kernel(
+        m,
+        perms[0],
+        perms[1],
+        _FAST_PR_RELATIONS[goal.extension],
+        max_states=budget.max_states,
+        deadline=deadline,
+    )
+    if mask is None and states < count_allocations(instance, goal.forces_equal_sizes):
+        raise BudgetExceededError(
+            f"search exceeded its budget of {budget.max_states} states"
         )
-        if mask is None and scanned < (1 << m):
-            raise BudgetExceededError(
-                f"search exceeded its budget of {budget.max_states} states"
-            )
     if mask is None:
         return None
     return Allocation(_pairsearch.mask_to_bundles(mask, m))

@@ -354,3 +354,24 @@ def test_malformed_profile_is_usage_error(tmp_path, capsys):
         "compare", "--profile", str(path), "--agent", "a",
         "--x", "1", "--y", "2", "--relation", "ndd",
     ]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "goods", "items": 5, "agents": [{"name": "a", "ranking": ["1", "2"]}]},
+        [{"kind": "goods", "items": ["1", "2"], "agents": [{"name": "a", "ranking": ["1", "2"]}]}],
+        {"kind": "goods", "items": ["1", "2"], "agents": ["a"]},
+        {"kind": "goods", "items": ["1", "2"], "agents": [{"name": "a", "ranking": 7}]},
+    ],
+    ids=["items_not_a_list", "top_level_list", "agent_not_an_object", "ranking_not_a_list"],
+)
+def test_wrongly_shaped_profile_is_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(payload))
+    assert main([
+        "solve", "--profile", str(path), "--goal", "nddpr", "--method", "condition",
+    ]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        profile_from_json(payload)

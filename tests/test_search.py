@@ -1,14 +1,18 @@
 """Enumeration, existence search (generic and vectorized), witness finding."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
+from dimdiff import _pairsearch
 from dimdiff.core import Allocation, Instance, ItemKind, Ranking
 from dimdiff.exceptions import BudgetExceededError, UnsupportedExtensionError
-from dimdiff.extensions import RelationKind
+from dimdiff.extensions import RelationKind, holds
 from dimdiff.fairness import Criterion, check_envy_free, check_proportional
 from dimdiff.search import (
+    _FAST_PR_RELATIONS,
     AllocationGoal,
     SearchBudget,
     _assignments,
@@ -147,6 +151,198 @@ def test_fast_path_matches_generic_including_witness():
                 assert (fast is None) == (slow is None)
                 if fast is not None:
                     assert fast.bundles == slow.bundles
+
+
+# The two-agent kernels are pinned to a scan that walks the same mask order
+# and asks ``holds`` for each split, one mask at a time.
+
+_EQUAL_SPLIT = (RelationKind.NEC, RelationKind.NDD)
+
+
+def run_kernel(inst, ext, max_states=None):
+    """(mask, states) of the kernel that serves this two-agent PR question."""
+    kernel = (
+        _pairsearch.first_equal_split if ext in _EQUAL_SPLIT else _pairsearch.first_any_split
+    )
+    perm_first, perm_second = (r.order for r in inst.rankings)
+    return kernel(
+        inst.item_count, perm_first, perm_second, _FAST_PR_RELATIONS[ext], max_states=max_states
+    )
+
+
+def reference_scan(inst, ext, max_states=None):
+    """The kernels' contract: the first split in ascending mask order
+    (balanced masks only for the equal-split relations) under which both
+    agents' doubled bundles relate to the full set, as (mask, position + 1);
+    (None, positions scanned) when none of the first ``max_states`` does."""
+    m = inst.item_count
+    masks = [
+        mask for mask in range(1 << m)
+        if ext not in _EQUAL_SPLIT or bin(mask).count("1") == m // 2
+    ]
+    if max_states is not None:
+        masks = masks[:max_states]
+    everything = inst.full_bundle()
+    for position, mask in enumerate(masks, 1):
+        alloc = Allocation(_pairsearch.mask_to_bundles(mask, m))
+        if all(
+            holds(ext, alloc.bundle(a).scaled(2), everything, inst.rankings[a])
+            for a in range(2)
+        ):
+            return mask, position
+    return None, len(masks)
+
+
+def test_kernels_match_reference_scan_for_every_item_count():
+    rng = random.Random(23)
+    for items in range(1, 17):
+        rankings = [tuple(rng.sample(range(items), items)) for _ in range(3)]
+        # Two random pairs, and a pair sharing its best item.
+        shared = rankings[0][:1] + tuple(rng.sample(rankings[0][1:], items - 1))
+        pairs = [(rankings[0], rankings[1]), (rankings[2], rankings[0]), (rankings[0], shared)]
+        for first, second in pairs:
+            inst = goods(first, second)
+            for ext in _FAST_PR_RELATIONS:
+                if ext in _EQUAL_SPLIT and items % 2:
+                    continue
+                assert run_kernel(inst, ext) == reference_scan(inst, ext), (first, second, ext)
+
+
+def test_equal_split_kernels_refuse_a_shared_best_item():
+    for items in (2, 8, 16):
+        order = tuple(range(items))
+        inst = goods(order, order[:1] + order[:0:-1])
+        balanced = math.comb(items, items // 2)
+        for ext in _EQUAL_SPLIT:
+            assert run_kernel(inst, ext) == reference_scan(inst, ext) == (None, balanced)
+            budgeted = (None, min(100, balanced))
+            assert run_kernel(inst, ext, 100) == reference_scan(inst, ext, 100) == budgeted
+
+
+# Found by a random search over ranking pairs: each puts the kernel's witness
+# just before, at or just after the end of the 64-, 320- and 1344-state chunk.
+_BOUNDARY_WITNESSES = [
+    (RelationKind.NEC, 63, (5, 6, 7, 3, 8, 0, 2, 4, 9, 1), (6, 3, 4, 8, 9, 2, 5, 1, 7, 0)),
+    (RelationKind.NEC, 64, (2, 9, 5, 7, 0, 3, 4, 1, 8, 6), (6, 4, 7, 3, 1, 5, 9, 2, 0, 8)),
+    (RelationKind.NEC, 65,
+     (2, 11, 6, 12, 3, 7, 4, 13, 1, 10, 8, 0, 9, 5),
+     (5, 2, 4, 11, 10, 13, 6, 12, 9, 3, 0, 8, 7, 1)),
+    (RelationKind.NEC, 319,
+     (8, 6, 5, 9, 4, 7, 2, 0, 10, 11, 3, 1), (6, 8, 4, 1, 10, 5, 7, 2, 3, 0, 9, 11)),
+    (RelationKind.NEC, 320,
+     (9, 8, 10, 4, 13, 11, 3, 2, 1, 6, 5, 0, 7, 12),
+     (5, 8, 6, 12, 3, 4, 9, 1, 0, 10, 2, 7, 13, 11)),
+    (RelationKind.NEC, 321,
+     (9, 8, 11, 1, 0, 2, 7, 6, 12, 5, 13, 3, 10, 4),
+     (7, 8, 11, 5, 3, 2, 0, 9, 6, 10, 1, 4, 12, 13)),
+    (RelationKind.NEC, 1343,
+     (1, 7, 14, 13, 9, 8, 5, 0, 11, 12, 15, 10, 3, 4, 6, 2),
+     (8, 9, 5, 2, 10, 14, 6, 12, 11, 13, 15, 7, 3, 4, 0, 1)),
+    (RelationKind.NEC, 1344,
+     (14, 12, 11, 1, 9, 0, 5, 13, 8, 4, 15, 7, 10, 3, 6, 2),
+     (6, 1, 8, 7, 2, 9, 4, 12, 14, 10, 0, 13, 11, 15, 5, 3)),
+    (RelationKind.NEC, 1345,
+     (7, 11, 15, 13, 14, 10, 3, 4, 6, 0, 8, 1, 12, 9, 5, 2),
+     (9, 2, 13, 12, 7, 14, 3, 5, 4, 6, 10, 8, 1, 15, 0, 11)),
+    (RelationKind.NDD, 63, (7, 9, 3, 4, 2, 0, 5, 6, 1, 8), (4, 1, 0, 7, 2, 9, 8, 6, 3, 5)),
+    (RelationKind.NDD, 64,
+     (13, 12, 4, 2, 5, 9, 6, 10, 11, 8, 3, 7, 1, 0),
+     (4, 9, 7, 1, 11, 0, 3, 6, 10, 13, 8, 5, 2, 12)),
+    (RelationKind.NDD, 65,
+     (8, 10, 4, 7, 2, 6, 5, 1, 11, 3, 9, 0), (5, 8, 4, 1, 3, 0, 6, 11, 7, 10, 2, 9)),
+    (RelationKind.NDD, 320,
+     (8, 13, 10, 0, 2, 11, 14, 6, 4, 12, 9, 15, 3, 5, 7, 1),
+     (13, 0, 5, 3, 4, 6, 7, 2, 1, 8, 9, 14, 12, 10, 11, 15)),
+    (RelationKind.NDD, 1344,
+     (14, 12, 0, 8, 2, 5, 13, 11, 7, 3, 9, 10, 15, 1, 6, 4),
+     (2, 8, 3, 12, 14, 0, 6, 11, 10, 15, 9, 4, 7, 5, 1, 13)),
+    (RelationKind.PDD, 63, (5, 10, 3, 1, 6, 8, 7, 9, 0, 2, 4), (0, 6, 2, 9, 8, 4, 5, 3, 7, 10, 1)),
+    (RelationKind.PDD, 64, (3, 1, 8, 10, 4, 7, 9, 6, 2, 5, 0), (3, 1, 9, 2, 6, 5, 0, 4, 7, 8, 10)),
+    (RelationKind.PDD, 65,
+     (8, 0, 13, 10, 1, 11, 14, 7, 9, 6, 2, 12, 5, 15, 3, 4),
+     (9, 1, 2, 13, 4, 8, 12, 11, 10, 3, 5, 15, 6, 14, 0, 7)),
+    (RelationKind.PDD, 319,
+     (13, 7, 5, 4, 0, 11, 8, 2, 9, 1, 6, 14, 12, 3, 10),
+     (5, 1, 9, 12, 3, 10, 13, 6, 11, 4, 2, 7, 14, 8, 0)),
+    (RelationKind.PDD, 320,
+     (3, 5, 8, 4, 1, 13, 6, 11, 10, 7, 2, 0, 14, 9, 15, 12),
+     (0, 12, 14, 3, 4, 6, 7, 11, 15, 10, 1, 2, 13, 8, 5, 9)),
+    (RelationKind.POS, 63,
+     (13, 3, 8, 5, 12, 2, 11, 7, 10, 1, 9, 0, 4, 6),
+     (3, 2, 1, 11, 12, 7, 6, 8, 10, 9, 13, 5, 0, 4)),
+    (RelationKind.POS, 64, (6, 5, 11, 3, 4, 0, 2, 7, 1, 10, 8, 9), (3, 0, 6, 2, 10, 5, 1, 11, 4, 8, 7, 9)),
+    (RelationKind.POS, 65,
+     (8, 0, 13, 10, 1, 11, 14, 7, 9, 6, 2, 12, 5, 15, 3, 4),
+     (9, 1, 2, 13, 4, 8, 12, 11, 10, 3, 5, 15, 6, 14, 0, 7)),
+]
+
+
+@pytest.mark.parametrize(
+    "ext, states, first, second",
+    _BOUNDARY_WITNESSES,
+    ids=[f"{case[0].value}-{case[1]}" for case in _BOUNDARY_WITNESSES],
+)
+def test_kernels_match_reference_at_chunk_boundaries(ext, states, first, second):
+    inst = goods(first, second)
+    mask, found = run_kernel(inst, ext)
+    assert found == states
+    assert (mask, found) == reference_scan(inst, ext, states + 1)
+    # A budget that ends just before, at or just after the witness.
+    assert run_kernel(inst, ext, states - 1) == (None, states - 1)
+    assert run_kernel(inst, ext, states) == (mask, states)
+    assert run_kernel(inst, ext, states + 1) == (mask, states)
+
+
+@pytest.mark.parametrize("max_states", [0, 1, 63, 64, 65, 319, 320, 321, 1343, 1344, 1345])
+def test_kernel_budgets_at_chunk_boundaries(max_states):
+    # Distinct best items but no NEC split: the scan runs to the budget.
+    nec = goods(tuple(range(12)), (1, 0) + tuple(range(2, 12)))
+    assert run_kernel(nec, RelationKind.NEC) == (None, 924)
+    assert run_kernel(nec, RelationKind.NEC, max_states) == (None, min(max_states, 924))
+    # Opposite rankings of 16 goods: the first PDD split is mask 1022, so
+    # the budget decides between that witness and none.
+    pdd = goods(tuple(range(15, -1, -1)), tuple(range(16)))
+    assert run_kernel(pdd, RelationKind.PDD) == (1022, 1023)
+    expected = reference_scan(pdd, RelationKind.PDD, max_states)
+    assert run_kernel(pdd, RelationKind.PDD, max_states) == expected
+
+
+@pytest.mark.parametrize("witness", [0, 62, 63, 64, 318, 319, 320, 1342, 1343, 1344, 5439, 5440])
+def test_chunked_scan_finds_the_first_witness_at_any_position(witness):
+    total = 20_000
+    accept = lambda masks: masks >= witness  # noqa: E731
+    at = lambda start, stop: np.arange(start, stop, dtype=np.int64)  # noqa: E731
+    assert _pairsearch._first_split(at, total, accept, None, None) == (witness, witness + 1)
+    assert _pairsearch._first_split(at, total, accept, witness, None) == (None, witness)
+    assert _pairsearch._first_split(at, witness, accept, None, None) == (None, witness)
+
+
+def test_two_agent_budgets_stop_inside_the_kernels():
+    # No NEC split exists among the 12,870 balanced ones; the budget stops
+    # the scan after ten of them instead of after the sweep.
+    inst = goods(tuple(range(16)), (1, 0) + tuple(range(2, 16)))
+    assert run_kernel(inst, RelationKind.NEC, 10) == (None, 10)
+    goal = AllocationGoal(PR, RelationKind.NEC)
+    with pytest.raises(BudgetExceededError):
+        exists_allocation(inst, goal, SearchBudget(max_states=10))
+    assert exists_allocation(inst, goal) is None
+
+
+def test_two_agent_search_honours_its_time_limit():
+    # A time limit of zero has expired by the first check, which follows the
+    # first chunk: searches that need a second chunk raise, whatever the clock.
+    nec = goods(tuple(range(16)), (1, 0) + tuple(range(2, 16)))
+    with pytest.raises(BudgetExceededError, match="time limit"):
+        exists_allocation(nec, AllocationGoal(PR, RelationKind.NEC), SearchBudget(time_limit=0))
+    first, second = _BOUNDARY_WITNESSES[-1][2:]
+    pos = goods(first, second)  # POS witness at state 65, in the second chunk
+    with pytest.raises(BudgetExceededError, match="time limit"):
+        exists_allocation(pos, AllocationGoal(PR, RelationKind.POS), SearchBudget(time_limit=0))
+    # A witness in the first chunk is returned before the deadline is read.
+    early = goods((3, 2, 1, 0), (1, 2, 3, 0))
+    assert exists_allocation(
+        early, AllocationGoal(PR, RelationKind.NDD), SearchBudget(time_limit=0)
+    ) is not None
 
 
 def test_existence_monotone_in_extension_strength():
