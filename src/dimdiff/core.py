@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 Value = Union[int, Fraction, float]
 
@@ -33,6 +33,7 @@ class Ranking:
 
     order: tuple[int, ...]
     _levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _reversed: Optional[Ranking] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         order = tuple(self.order)
@@ -72,8 +73,10 @@ class Ranking:
         return frozenset(self.order[-count:])
 
     def reversed(self) -> Ranking:
-        """The inverse order: the worst item becomes the best."""
-        return Ranking(tuple(reversed(self.order)))
+        """The inverse order: the worst item becomes the best (built once)."""
+        if self._reversed is None:
+            object.__setattr__(self, "_reversed", Ranking(tuple(reversed(self.order))))
+        return self._reversed
 
 
 @dataclass(frozen=True)

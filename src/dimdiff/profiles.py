@@ -131,13 +131,18 @@ def parse_bundle(text: str, profile: NamedProfile) -> MultiBundle:
 
 def allocation_from_json(payload: dict, profile: NamedProfile) -> Allocation:
     """Decode ``{"agent": ["item", ...], ...}``; agents may be omitted (empty)."""
+    if not isinstance(payload, dict) or not all(
+        isinstance(items, list) and all(isinstance(item, str) for item in items)
+        for items in payload.values()
+    ):
+        raise ValueError("an allocation must be a JSON object of item-name lists")
     unknown = set(payload) - set(profile.agent_names)
     if unknown:
         raise ValueError(f"unknown agents in allocation: {sorted(unknown)}")
     bundles = []
     for name in profile.agent_names:
         items = payload.get(name, [])
-        bundles.append(tuple(profile.item_id(str(item)) for item in items))
+        bundles.append(tuple(profile.item_id(item) for item in items))
     alloc = Allocation(tuple(bundles))
     if not alloc.is_partition_of(profile.instance.item_count):
         raise ValueError("allocation does not assign every item exactly once")

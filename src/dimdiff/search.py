@@ -4,6 +4,13 @@ These searches are the ground-truth oracles of the package: existence
 questions answered here are proofs by exhaustion (within an explicit budget),
 and every positive answer returns the lexicographically first witness so runs
 are reproducible.
+
+The generic existence search is a depth-first search over partial
+assignments.  For goals that force equal bundle sizes it tests each bundle
+as soon as it is complete and cuts every subtree below a bundle that fails.
+A cut subtree holds no witness, so the search stays exhaustive; it still
+counts every balanced allocation the cut skips, so budgets bound the same
+space as an allocation-by-allocation scan.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import _pairsearch
-from .core import Allocation, Instance, ItemKind, UtilityFunction
+from .core import Allocation, Instance, ItemKind, MultiBundle, UtilityFunction
 from .exceptions import BudgetExceededError, UnsupportedExtensionError
 from .extensions import RelationKind, holds
 from .fairness import Criterion, _require_kind_match
@@ -67,22 +74,30 @@ class AllocationGoal:
     def forces_equal_sizes(self) -> bool:
         return self.extension in _EQUAL_SIZE_EXTENSIONS
 
+    def agent_accepts(self, instance: Instance, agent: int, bundle: MultiBundle) -> bool:
+        """The test of one agent's own bundle: copied n times, it relates to
+        the full item set.  This is proportionality, and envy-freeness under
+        NEC / NDD implies it (sum the agent's utility over all n bundles)."""
+        return holds(
+            self.extension,
+            bundle.scaled(instance.agent_count),
+            instance.full_bundle(),
+            instance.rankings[agent],
+        )
+
+    def pair_accepts(
+        self, instance: Instance, agent: int, own: MultiBundle, other: MultiBundle
+    ) -> bool:
+        """The envy test: the agent weakly prefers its own bundle to another's."""
+        return holds(self.extension, own, other, instance.rankings[agent])
+
     def satisfied_by(self, alloc: Allocation, instance: Instance) -> bool:
         n = instance.agent_count
-        if self.criterion is Criterion.PROPORTIONALITY:
-            everything = instance.full_bundle()
-            return all(
-                holds(
-                    self.extension,
-                    alloc.bundle(i).scaled(n),
-                    everything,
-                    instance.rankings[i],
-                )
-                for i in range(n)
-            )
         bundles = [alloc.bundle(i) for i in range(n)]
+        if self.criterion is Criterion.PROPORTIONALITY:
+            return all(self.agent_accepts(instance, i, bundles[i]) for i in range(n))
         return all(
-            holds(self.extension, bundles[i], bundles[j], instance.rankings[i])
+            self.pair_accepts(instance, i, bundles[i], bundles[j])
             for i in range(n)
             for j in range(n)
             if i != j
@@ -177,14 +192,24 @@ def exists_allocation(
 
     None is a proof by exhaustion over the relevant space: for goals whose
     relation forces equal bundle sizes only balanced allocations can qualify,
-    so only those are enumerated.  Budget exhaustion raises; it never returns
-    a silent default.
+    so only those are searched.  Two-agent proportionality of goods under
+    nec / ndd / pdd / pos goes to the vectorized split kernels; every other
+    goal goes to a depth-first search that assigns items in identifier order
+    and tries agents in index order, the order of :func:`enumerate_allocations`.
+    With equal sizes it tests a bundle once it is complete (proportionality,
+    and for envy-freeness also both directions against every other complete
+    bundle) and cuts the subtree when the test fails; other goals are tested
+    at the leaves.  ``max_states`` counts allocations in that order, a cut
+    subtree counting as all the allocations it holds, so the budget is
+    exceeded for exactly the inputs where a scan of one allocation at a time
+    would exceed it.  The time limit is read each time the count passes a
+    multiple of 1024.  Budget exhaustion raises; it never returns a silent
+    default.
     """
     budget = budget or SearchBudget()
     _require_kind_match(goal.extension, instance)
-    equal = goal.forces_equal_sizes
     n, m = instance.agent_count, instance.item_count
-    if equal and m % n:
+    if goal.forces_equal_sizes and m % n:
         return None
 
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
@@ -195,20 +220,96 @@ def exists_allocation(
         and goal.extension in _FAST_PR_RELATIONS
     ):
         return _exists_two_agent_pr(instance, goal, budget, deadline)
+    return _first_witness(instance, goal, budget, deadline)
 
+
+def _balanced_completions(capacity: list[int]) -> int:
+    """Ways to fill the remaining capacities: their multinomial coefficient."""
+    total, remaining = 1, 0
+    for free in capacity:
+        remaining += free
+        total *= math.comb(remaining, free)
+    return total
+
+
+def _first_witness(
+    instance: Instance,
+    goal: AllocationGoal,
+    budget: SearchBudget,
+    deadline: Optional[float],
+) -> Optional[Allocation]:
+    n, m = instance.agent_count, instance.item_count
+    equal = goal.forces_equal_sizes
+    envy = goal.criterion is Criterion.ENVY_FREENESS  # nec / ndd only: equal sizes
+    capacity = [m // n if equal else m] * n
+    held: list[list[int]] = [[] for _ in range(n)]
+    complete: list[Optional[MultiBundle]] = [None] * n
+    # (agent, items) -> the bundle if it passes the agent's own test, else None.
+    verdicts: dict[tuple[int, tuple[int, ...]], Optional[MultiBundle]] = {}
     states = 0
-    for assignment in _assignments(n, m, equal):
-        states += 1
+
+    def own(agent: int) -> Optional[MultiBundle]:
+        key = (agent, tuple(held[agent]))
+        if key not in verdicts:
+            bundle = MultiBundle.from_items(held[agent])
+            verdicts[key] = bundle if goal.agent_accepts(instance, agent, bundle) else None
+        return verdicts[key]
+
+    def completes(agent: int) -> bool:
+        bundle = own(agent)
+        if bundle is None:
+            return False
+        if envy and not all(
+            goal.pair_accepts(instance, agent, bundle, other)
+            and goal.pair_accepts(instance, peer, other, bundle)
+            for peer, other in enumerate(complete)
+            if other is not None
+        ):
+            return False
+        complete[agent] = bundle
+        return True
+
+    def count(leaves: int) -> None:
+        nonlocal states
+        before, states = states, states + leaves
+        # The first multiple of 1024 in (before, states], where a scan of one
+        # allocation at a time would have read the clock.
+        mark = (before // 1024 + 1) * 1024
+        if (
+            deadline is not None
+            and mark <= min(states, budget.max_states)
+            and time.monotonic() > deadline
+        ):
+            raise BudgetExceededError("search exceeded its time limit")
         if states > budget.max_states:
             raise BudgetExceededError(
                 f"search exceeded its budget of {budget.max_states} states"
             )
-        if deadline is not None and states % 1024 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError("search exceeded its time limit")
-        alloc = _to_allocation(assignment, n)
-        if goal.satisfied_by(alloc, instance):
-            return alloc
-    return None
+
+    def place(item: int) -> Optional[Allocation]:
+        if item == m:
+            count(1)
+            if equal or all(own(agent) is not None for agent in range(n)):
+                return Allocation.from_lists(held)
+            return None
+        for agent in range(n):
+            if not capacity[agent]:
+                continue
+            capacity[agent] -= 1
+            held[agent].append(item)
+            found = None
+            if equal and not capacity[agent] and not completes(agent):
+                count(_balanced_completions(capacity))
+            else:
+                found = place(item + 1)
+            complete[agent] = None
+            held[agent].pop()
+            capacity[agent] += 1
+            if found is not None:
+                return found
+        return None
+
+    return place(0)
 
 
 def _exists_two_agent_pr(

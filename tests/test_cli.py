@@ -6,6 +6,7 @@ import pytest
 
 from dimdiff.cli import main
 from dimdiff.profiles import (
+    allocation_from_json,
     load_preflib_soc,
     load_profile,
     profile_from_json,
@@ -185,6 +186,22 @@ def test_check_unsupported_extension_is_usage_error(profile_path, capsys):
         "--criterion", "ef", "--extension", "pdd",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "allocation",
+    ['{"alice": 5}', '{"alice": ["4", "1"], "bob": "23"}', '{"alice": ["4", 1], "bob": ["2", "3"]}'],
+    ids=["bundle_not_a_list", "bundle_a_string", "item_not_a_string"],
+)
+def test_wrongly_shaped_allocation_is_usage_error(profile_path, capsys, allocation):
+    path = profile_path(OPPOSITE)
+    assert main([
+        "check", "--profile", path, "--allocation", allocation,
+        "--criterion", "pr", "--extension", "ndd",
+    ]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        allocation_from_json(json.loads(allocation), profile_from_json(OPPOSITE))
 
 
 def test_check_single_agent(profile_path):

@@ -47,6 +47,16 @@ def test_ranking_validation():
         Ranking((0, 1)).level(5)
 
 
+def test_reversed_ranking_is_built_once():
+    r = Ranking((2, 0, 1))
+    flipped = r.reversed()
+    assert flipped is r.reversed()
+    assert flipped.reversed() == r and flipped.level(1) == 3
+    # The cached inverse takes no part in equality, hashing or the repr.
+    assert r == Ranking((2, 0, 1)) and hash(r) == hash(Ranking((2, 0, 1)))
+    assert repr(r) == "Ranking(order=(2, 0, 1))"
+
+
 def test_multibundle_basics():
     b = MultiBundle.from_items([3, 1, 3])
     assert b.size == 3

@@ -103,6 +103,16 @@ def test_reversal_property(data):
     )
 
 
+@pytest.mark.parametrize("kind", [RelationKind.NID, RelationKind.PID])
+def test_unknown_item_in_a_chores_relation_is_a_key_error(kind):
+    ranking = Ranking((0, 1, 2))
+    known = MultiBundle.from_items([0, 1])
+    ranking.reversed()  # cached: the lookup must still be bounds-checked
+    for x, y in ((MultiBundle.from_items([5]), known), (known, MultiBundle.from_items([3]))):
+        with pytest.raises(KeyError):
+            holds(kind, x, y, ranking)
+
+
 def test_nid_direct_form_matches_reversal():
     # Direct statement: fewer chores, and every worst-k prefix level of x
     # weakly dominates y's, for k up to |x|.

@@ -176,6 +176,19 @@ def test_structured_search_agrees_with_generic_with_gap_dummy():
         assert len(bundle) == 2 and reduced.instance.rankings[agent].best in bundle
 
 
+def test_structured_search_agrees_with_generic_on_coverless_two_two():
+    # Two triples sharing element 0: no cover.  The generic search proves
+    # "none" over all 7,484,400 balanced allocations of 12 items to 6 agents
+    # (most of them in subtrees cut at a completed bundle).
+    x3c = X3CInstance(6, ((0, 1, 2), (0, 3, 4)))
+    assert solve_x3c(x3c) is None
+    reduced = reduce_x3c(x3c)
+    assert nddef_search_reduced(reduced) is None
+    assert exists_allocation(
+        reduced.instance, AllocationGoal(Criterion.ENVY_FREENESS, RelationKind.NDD)
+    ) is None
+
+
 def test_rotation_tie_counterexample_is_real():
     # Under the earlier layout the first auxiliary item sat directly below
     # the three own mains, so an agent holding it tied with co-agents holding

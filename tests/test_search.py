@@ -36,17 +36,24 @@ PR = Criterion.PROPORTIONALITY
 EF = Criterion.ENVY_FREENESS
 
 
-def generic_first(instance, goal):
-    """Reference implementation: plain enumeration, no vectorized path."""
+def generic_scan(instance, goal):
+    """Reference implementation: plain enumeration, no vectorized path, no
+    pruning.  (first witness, its position in the order) or (None, the
+    number of allocations scanned)."""
     equal = goal.forces_equal_sizes
     n, m = instance.agent_count, instance.item_count
     if equal and m % n:
-        return None
-    for assignment in _assignments(n, m, equal):
+        return None, 0
+    position = 0
+    for position, assignment in enumerate(_assignments(n, m, equal), 1):
         alloc = _to_allocation(assignment, n)
         if goal.satisfied_by(alloc, instance):
-            return alloc
-    return None
+            return alloc, position
+    return None, position
+
+
+def generic_first(instance, goal):
+    return generic_scan(instance, goal)[0]
 
 
 # --- enumeration -------------------------------------------------------------
@@ -118,6 +125,85 @@ def test_exists_respects_budget():
         exists_allocation(
             inst, AllocationGoal(EF, RelationKind.NEC), SearchBudget(max_states=3)
         )
+
+
+# Every goal the generic search serves: it takes all but two-agent goods
+# proportionality under nec / ndd / pdd / pos.
+_GENERIC_GOALS = {
+    ItemKind.GOODS: [AllocationGoal(PR, ext) for ext in (
+        RelationKind.NEC, RelationKind.NDD, RelationKind.PDD, RelationKind.POS,
+        RelationKind.NBIN, RelationKind.PBIN,
+    )] + [AllocationGoal(EF, RelationKind.NEC), AllocationGoal(EF, RelationKind.NDD)],
+    ItemKind.CHORES: [AllocationGoal(PR, RelationKind.NID), AllocationGoal(PR, RelationKind.PID)],
+}
+
+
+def random_cases(seed):
+    """(instance, goal) pairs: 1-4 agents, at most 9 items and at most 2,520
+    allocations to scan; goods and chores; the first two agents sharing
+    their best item or not."""
+    rng = random.Random(seed)
+    for agents in range(1, 5):
+        for kind, goals in _GENERIC_GOALS.items():
+            for goal in goals:
+                if agents == 2 and kind is ItemKind.GOODS and goal.criterion is PR and (
+                    goal.extension in _FAST_PR_RELATIONS
+                ):
+                    continue
+                for shared in (False, True)[: 1 + (agents > 1)]:
+                    for _ in range(2):
+                        if goal.forces_equal_sizes:
+                            items = agents * rng.randint(1, 9 // agents)
+                            if rng.random() < 0.1:
+                                items += 1  # no balanced allocation
+                        else:
+                            items = rng.randint(1, {1: 9, 2: 9, 3: 7, 4: 5}[agents])
+                        orders = [rng.sample(range(items), items) for _ in range(agents)]
+                        if shared:
+                            orders[1].remove(orders[0][0])
+                            orders[1].insert(0, orders[0][0])
+                        inst = Instance(kind, tuple(Ranking(tuple(o)) for o in orders))
+                        yield inst, goal
+
+
+def test_generic_search_matches_reference_scan_with_budgets():
+    budgets = (1, 3, 10, 100, 1000)
+    cases = list(random_cases(37))
+    found = exhausted = 0
+    for inst, goal in cases:
+        witness, position = generic_scan(inst, goal)
+        result = exists_allocation(inst, goal)
+        assert (result and result.bundles) == (witness and witness.bundles), (inst, goal)
+        found += witness is not None
+        for max_states in budgets:
+            budget = SearchBudget(max_states=max_states)
+            if position > max_states:
+                with pytest.raises(BudgetExceededError, match="states"):
+                    exists_allocation(inst, goal, budget)
+                exhausted += 1
+            else:
+                result = exists_allocation(inst, goal, budget)
+                assert (result and result.bundles) == (witness and witness.bundles)
+    # The seed reaches both answers and both sides of every budget.
+    assert 0 < found < len(cases) and 0 < exhausted < len(cases) * len(budgets)
+
+
+def test_generic_search_honours_its_time_limit():
+    # A time limit of zero has expired by the first reading of the clock,
+    # when the count of allocations passes 1024.  Agents sharing a best item
+    # admit no NDD-proportional allocation, so all 1,680 balanced
+    # allocations of 3 agents and 9 goods are counted, most of them in cut
+    # subtrees; 90 allocations of 3 agents and 6 goods never reach the clock.
+    nine = goods((0, 1, 2, 3, 4, 5, 6, 7, 8), (0, 8, 7, 6, 5, 4, 3, 2, 1), tuple(range(8, -1, -1)))
+    six = goods((0, 1, 2, 3, 4, 5), (0, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1, 0))
+    for goal in (AllocationGoal(PR, RelationKind.NDD), AllocationGoal(EF, RelationKind.NEC)):
+        assert generic_scan(nine, goal) == (None, 1680)
+        with pytest.raises(BudgetExceededError, match="time limit"):
+            exists_allocation(nine, goal, SearchBudget(time_limit=0))
+        # A budget of states that ends before the clock is read wins.
+        with pytest.raises(BudgetExceededError, match="states"):
+            exists_allocation(nine, goal, SearchBudget(max_states=1023, time_limit=0))
+        assert exists_allocation(six, goal, SearchBudget(time_limit=0)) is None
 
 
 def test_goal_validation():
