@@ -259,14 +259,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
-            raw = json.load(handle)
-        config = SimConfig(
-            noise_levels=tuple(raw["noise_levels"]),
-            item_pair_counts=tuple(raw["item_pair_counts"]),
-            trials=int(raw.get("trials", 1000)),
-            seed=args.seed,
-            agents=int(raw.get("agents", 2)),
-        )
+            config = _sim_config_from_json(json.load(handle), args.seed)
     else:
         config = full_grid_config(args.seed, trials=args.trials)
     cells = main_csv(config, args.out, progress=args.progress)
@@ -277,6 +270,31 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     _emit(summary, args.json)
     return EXIT_HOLDS
+
+
+def _sim_config_from_json(raw: object, seed: int) -> SimConfig:
+    """Decode a ``simulate --config`` payload; ValueError on a wrong shape."""
+    if not isinstance(raw, dict):
+        raise ValueError("a simulation config must be a JSON object")
+    for key, kinds, noun in (
+        ("noise_levels", (int, float), "numbers"),
+        ("item_pair_counts", int, "integers"),
+    ):
+        values = raw.get(key)
+        if not isinstance(values, list) or not all(
+            isinstance(v, kinds) and not isinstance(v, bool) for v in values
+        ):
+            raise ValueError(f'config "{key}" must be a list of {noun}')
+    for key in ("trials", "agents"):
+        if key in raw and (not isinstance(raw[key], int) or isinstance(raw[key], bool)):
+            raise ValueError(f'config "{key}" must be an integer')
+    return SimConfig(
+        noise_levels=tuple(raw["noise_levels"]),
+        item_pair_counts=tuple(raw["item_pair_counts"]),
+        trials=raw.get("trials", 1000),
+        seed=seed,
+        agents=raw.get("agents", 2),
+    )
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:

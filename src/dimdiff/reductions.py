@@ -109,11 +109,21 @@ def x3c_to_json(x3c: X3CInstance) -> dict:
     return {"base_size": x3c.base_size, "triplets": [list(t) for t in x3c.triplets]}
 
 
-def x3c_from_json(payload: dict) -> X3CInstance:
-    return X3CInstance(
-        base_size=int(payload["base_size"]),
-        triplets=tuple(tuple(t) for t in payload["triplets"]),
-    )
+def x3c_from_json(payload: object) -> X3CInstance:
+    """Decode ``{"base_size": int, "triplets": [[int, int, int], ...]}``."""
+    if not isinstance(payload, dict) or not _is_int(payload.get("base_size")):
+        raise ValueError('an X3C instance must be a JSON object with an integer "base_size"')
+    triplets = payload.get("triplets")
+    if not isinstance(triplets, list) or not all(
+        isinstance(t, list) and len(t) == 3 and all(_is_int(e) for e in t)
+        for t in triplets
+    ):
+        raise ValueError('X3C "triplets" must be a list of three-integer lists')
+    return X3CInstance(payload["base_size"], tuple(tuple(t) for t in triplets))
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def solve_x3c(x3c: X3CInstance) -> Optional[tuple[int, ...]]:
@@ -326,50 +336,85 @@ def nddef_search_reduced(reduced: ReducedInstance) -> Optional[Allocation]:
     In any qualifying allocation every agent holds exactly two items, one of
     them its top dummy (its best item overall, which the pairwise relation
     forces it to own).  That pins 3n of the 6n items, leaving a bijection
-    between agents and the remaining items; backtracking over the bijection
-    with pairwise envy pruning decides existence exactly.
+    between agents and the remaining "free" items, which a forward-checking
+    search decides exactly.
 
     With all bundles of size two and every agent owning its own best item,
-    the pairwise relation reduces to level-sum dominance under the observer's
-    ranking, checked in both directions as the bijection grows.
+    the pairwise relation is level-sum dominance under the observer's
+    ranking.  With ``l_a(top_a) = M``, agent a holding i tolerates agent b
+    holding j iff ``l_a(j) <= l_a(i) + M - l_a(top_b)``: a level threshold.
+    Each open agent keeps a bitmask domain of the free items it may still
+    take.  Per call, each agent gets cumulative "level <= t" and
+    "level >= t" masks over the free items, so the items b may take next to
+    a holding i are one lookup in a's table (a tolerates b) ANDed with one
+    in b's table (b tolerates a), with i cleared.  Each assignment narrows
+    every open domain by that set; the branch fails as soon as one is
+    empty.  The search branches on agents, never on triples: next is the
+    open agent with the smallest domain (lowest index on ties), trying its
+    items in ascending order.
     """
     instance = reduced.instance
     agents = instance.agent_count
+    m = instance.item_count
     rankings = instance.rankings
     top_dummy = [rankings[a].best for a in range(agents)]
-    pinned = set(top_dummy)
-    free_items = sorted(set(range(instance.item_count)) - pinned)
+    free_items = sorted(set(range(m)) - set(top_dummy))
     if len(free_items) != agents:
         raise ValueError("instance does not have the reduced 2-items-per-agent shape")
 
-    second: list[Optional[int]] = [None] * agents
-    used = [False] * len(free_items)
+    full = (1 << agents) - 1
+    # level[a][k]: agent a's level of free item k (bit k of every mask).
+    level = [[r.level(item) for item in free_items] for r in rankings]
+    # top_level[a][b] = l_a(top_b).  at_most[a][t] holds the free items a
+    # ranks at level <= t, at_least[a][t] those at level >= t - M; both run
+    # over t = 0 .. 2M, so every threshold below is an index without clamps.
+    top_level = [[r.level(t) for t in top_dummy] for r in rankings]
+    at_most, at_least = [], []
+    for a in range(agents):
+        exact = [0] * (2 * m + 1)
+        for k, lev in enumerate(level[a]):
+            exact[lev] |= 1 << k
+        below = list(itertools.accumulate(exact, int.__or__))
+        at_most.append(below)
+        at_least.append([full] * (m + 1) + [full ^ below[t] for t in range(m)])
 
-    def compatible(a: int, b: int) -> bool:
-        ra, rb = rankings[a], rankings[b]
-        own_a = ra.level(top_dummy[a]) + ra.level(second[a])
-        own_b = rb.level(top_dummy[b]) + rb.level(second[b])
-        a_sees_b = ra.level(top_dummy[b]) + ra.level(second[b])
-        b_sees_a = rb.level(top_dummy[a]) + rb.level(second[a])
-        return own_a >= a_sees_b and own_b >= b_sees_a
+    # slack[a][b] = M - l_a(top_b): how far above its own item a lets b's go.
+    slack = [[m - lev for lev in row] for row in top_level]
+    second = [0] * agents
 
-    def assign(agent: int) -> bool:
-        if agent == agents:
+    def extend(open_domains: list[tuple[int, int]], pick: int) -> bool:
+        if not open_domains:
             return True
-        for idx, item in enumerate(free_items):
-            if used[idx]:
-                continue
-            used[idx] = True
-            second[agent] = item
-            if all(compatible(agent, other) for other in range(agent)):
-                if assign(agent + 1):
+        agent, domain = open_domains[pick]
+        rest = open_domains[:pick] + open_domains[pick + 1:]
+        tolerated, own, lets = at_most[agent], level[agent], slack[agent]
+        while domain:
+            low = domain & -domain
+            domain ^= low
+            k = low.bit_length() - 1
+            held = own[k]
+            narrowed = []
+            smallest, next_pick = agents + 1, 0
+            for other, dom in rest:
+                dom &= (
+                    tolerated[held + lets[other]]
+                    & at_least[other][level[other][k] + top_level[other][agent]]
+                    & ~low
+                )
+                size = dom.bit_count()
+                if not size:
+                    break
+                if size < smallest:
+                    smallest, next_pick = size, len(narrowed)
+                narrowed.append((other, dom))
+            else:
+                second[agent] = k
+                if extend(narrowed, next_pick):
                     return True
-            used[idx] = False
-            second[agent] = None
         return False
 
-    if not assign(0):
+    if not extend([(a, full) for a in range(agents)], 0):
         return None
     return Allocation.from_lists(
-        [(top_dummy[a], second[a]) for a in range(agents)]
+        [(top_dummy[a], free_items[second[a]]) for a in range(agents)]
     )

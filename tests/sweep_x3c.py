@@ -32,7 +32,7 @@ from dimdiff.reductions import (
 from test_reductions import cover_held_by
 
 RANDOM_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4),
-                 (3, 3), (3, 4), (4, 4), (3, 5)]
+                 (3, 3), (3, 4), (4, 4), (3, 5), (4, 5)]
 PLANTED_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (2, 5), (3, 5),
                   (4, 5), (3, 6)]
 

@@ -299,6 +299,36 @@ def test_reduce_then_solve_pipeline(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2], {"base_size": 3, "triplets": 5}, {"base_size": 3, "triplets": [None]}],
+    ids=["top_level_list", "triplets_not_a_list", "triple_not_a_list"],
+)
+def test_wrongly_shaped_x3c_is_usage_error(tmp_path, capsys, payload):
+    x3c_path = tmp_path / "x3c.json"
+    x3c_path.write_text(json.dumps(payload))
+    out_path = tmp_path / "reduced.json"
+    assert main(["reduce", "--x3c", str(x3c_path), "--out", str(out_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[1], {"noise_levels": 0.5, "item_pair_counts": [2]}],
+    ids=["top_level_list", "noise_levels_not_a_list"],
+)
+def test_wrongly_shaped_simulate_config_is_usage_error(tmp_path, capsys, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    assert main([
+        "simulate", "--config", str(config), "--seed", "1", "--out", str(out),
+    ]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_deterministic_csv(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

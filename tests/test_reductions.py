@@ -1,14 +1,16 @@
 """Exact-3-cover solver, the envy-freeness reduction, structured search."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimdiff.core import Allocation, ItemKind
-from dimdiff.extensions import RelationKind
+from dimdiff.core import Allocation, Instance, ItemKind, MultiBundle, Ranking
+from dimdiff.extensions import RelationKind, holds
 from dimdiff.fairness import Criterion, check_envy_free
 from dimdiff.reductions import (
+    ReducedInstance,
     X3CInstance,
     allocation_from_cover,
     nddef_search_reduced,
@@ -66,6 +68,46 @@ def independent_cover_search(x3c):
         return False
 
     return extend(frozenset(), 0)
+
+
+def bijection_search(reduced):
+    """NDD-EF allocation giving each agent its best item and one free item.
+
+    The definition, without the structured search's level arithmetic: the
+    bijections from agents to the items no agent ranks first, each judged
+    by ``check_envy_free``.  A prefix holding an envious pair under
+    ``holds`` is skipped: bundles never change once assigned, and
+    envy-freeness is a conjunction over pairs.
+    """
+    instance = reduced.instance
+    rankings = instance.rankings
+    tops = [r.best for r in rankings]
+    free = sorted(set(range(instance.item_count)) - set(tops))
+    seconds, bundles = [], []
+
+    def extend():
+        agent = len(seconds)
+        if agent == len(rankings):
+            alloc = Allocation.from_lists(zip(tops, seconds))
+            return alloc if check_envy_free(alloc, instance, RelationKind.NDD).result else None
+        for item in free:
+            mine = MultiBundle.from_items((tops[agent], item))
+            if item in seconds or not all(
+                holds(RelationKind.NDD, mine, theirs, rankings[agent])
+                and holds(RelationKind.NDD, theirs, mine, rankings[other])
+                for other, theirs in enumerate(bundles)
+            ):
+                continue
+            seconds.append(item)
+            bundles.append(mine)
+            found = extend()
+            if found is not None:
+                return found
+            seconds.pop()
+            bundles.pop()
+        return None
+
+    return extend()
 
 
 # --- instance type ------------------------------------------------------------
@@ -273,10 +315,74 @@ def test_allocation_from_cover_when_gap_triples_meet():
             allocation_from_cover(x3c, not_a_cover)
 
 
-def test_structured_search_requires_reduced_shape():
-    from dimdiff.core import Instance, Ranking
-    from dimdiff.reductions import ReducedInstance
+def _random_x3c(rng, q, n):
+    return X3CInstance(3 * q, tuple(tuple(rng.sample(range(3 * q), 3)) for _ in range(n)))
 
+
+def _seeded(draw, seed, shapes):
+    rng = random.Random(seed)
+    return [draw(rng, *shape) for shape in shapes]
+
+
+def _random_shaped(rng, agents):
+    """Goods rankings of 2 * agents items with distinct best items, the shape
+    the structured search assumes, without the reduction's layout.  Below
+    its best item every agent follows one shared order with one adjacent
+    swap, so that envy thresholds bind."""
+    items = 2 * agents
+    shared = rng.sample(range(items), items)
+    rankings = []
+    for top in rng.sample(range(items), agents):
+        rest = [i for i in shared if i != top]
+        k = rng.randrange(len(rest) - 1)
+        rest[k], rest[k + 1] = rest[k + 1], rest[k]
+        rankings.append(Ranking((top, *rest)))
+    return ReducedInstance(Instance(ItemKind.GOODS, tuple(rankings)), (), (), (), ())
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [
+        pytest.param(
+            _seeded(_random_shaped, 4, [(agents,) for agents in (2, 3, 4, 5)] * 50),
+            id="random_shaped",
+        ),
+        pytest.param(
+            [X3CInstance(3, combo)
+             for n in (1, 2)
+             for combo in itertools.product(itertools.permutations(range(3)), repeat=n)],
+            id="every_1_1_and_1_2",
+        ),
+        pytest.param(_seeded(_random_x3c, 22, [(2, 2)] * 30), id="random_2_2"),
+        pytest.param(_seeded(_random_x3c, 23, [(2, 3)] * 30), id="random_2_3"),
+    ],
+)
+def test_structured_search_matches_bijection_search(instances):
+    # Existence agrees with the definition, on reduced instances and on
+    # random ones of the same shape, where the envy thresholds are tight more
+    # often; witnesses may differ.
+    for case in instances:
+        reduced = case if isinstance(case, ReducedInstance) else reduce_x3c(case)
+        structured = nddef_search_reduced(reduced)
+        assert (structured is None) == (bijection_search(reduced) is None), case
+        if structured is not None:
+            assert check_envy_free(structured, reduced.instance, RelationKind.NDD).result
+
+
+def test_structured_search_on_coverless_three_five():
+    # Uniform (3,5) instances until twenty coverless ones, each of which the
+    # search must exhaust.
+    rng = random.Random(35)
+    coverless = 0
+    while coverless < 20:
+        x3c = _random_x3c(rng, 3, 5)
+        cover = solve_x3c(x3c)
+        witness = nddef_search_reduced(reduce_x3c(x3c))
+        assert (cover is None) == (witness is None), x3c
+        coverless += cover is None
+
+
+def test_structured_search_requires_reduced_shape():
     lopsided = ReducedInstance(
         Instance(ItemKind.GOODS, (Ranking((0, 1, 2)), Ranking((1, 0, 2)))),
         (), (), (), (),
