@@ -14,13 +14,11 @@ from .core import (
     Ranking,
     UtilityFunction,
     borda_utility,
-    classify_binary,
     classify_dd,
     classify_id,
     lexicographic_utility,
     level_prefix_sums,
     negative_borda_utility,
-    utility_of,
 )
 from .exceptions import (
     BudgetExceededError,
@@ -84,7 +82,6 @@ __all__ = [
     "check_envy_free",
     "check_pareto",
     "check_proportional",
-    "classify_binary",
     "classify_dd",
     "classify_id",
     "enumerate_allocations",
@@ -107,5 +104,4 @@ __all__ = [
     "run_experiment",
     "sampled_utility_refuter",
     "solve_x3c",
-    "utility_of",
 ]

@@ -22,7 +22,7 @@ from .exceptions import (
     ExtensionKindMismatchError,
     UnsupportedExtensionError,
 )
-from .extensions import RelationKind, holds, refuting_utility
+from .extensions import REFUTABLE_RELATIONS, RelationKind, holds, refuting_utility
 from .fairness import (
     Criterion,
     EnvyWitness,
@@ -50,20 +50,13 @@ from .protocols import (
     nidpr_two_agents,
 )
 from .reductions import reduce_x3c, x3c_from_json
-from .search import AllocationGoal, SearchBudget, exists_allocation
+from .search import DEFAULT_MAX_STATES, AllocationGoal, SearchBudget, exists_allocation
 from .simulate import SimConfig, full_grid_config, main_csv
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_ERROR = 2
 EXIT_UNDECIDED = 3
-
-
-def _default_budget() -> int:
-    """Search/Pareto state budget; override via DIMDIFF_BUDGET."""
-    return int(os.environ.get("DIMDIFF_BUDGET", 10_000_000))
-
-_REFUTABLE = (RelationKind.NDD, RelationKind.NID, RelationKind.NEC)
 
 
 def _load_any_profile(path: str) -> NamedProfile:
@@ -99,15 +92,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "y": args.y,
         "holds": result,
     }
-    if not result and kind in _REFUTABLE:
+    if not result and kind in REFUTABLE_RELATIONS:
         witness = refuting_utility(kind, x, y, ranking)
-        if witness is not None:
-            values = {
-                profile.item_names[i]: str(witness.value(i))
-                for i in range(profile.instance.item_count)
-            }
-            payload["refuting_utility"] = values
-            report.append("refuting utility: " + ", ".join(f"{k}={v}" for k, v in values.items()))
+        values = {
+            profile.item_names[i]: str(witness.value(i))
+            for i in range(profile.instance.item_count)
+        }
+        payload["refuting_utility"] = values
+        report.append("refuting utility: " + ", ".join(f"{k}={v}" for k, v in values.items()))
     payload["report"] = report
     _emit(payload, args.json)
     return EXIT_HOLDS if result else EXIT_FAILS
@@ -325,6 +317,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # DIMDIFF_BUDGET overrides the default search/Pareto state budget; argparse
+    # converts it like an explicit --budget, so a malformed value exits 2.
+    budget = os.environ.get("DIMDIFF_BUDGET", str(DEFAULT_MAX_STATES))
     parser = argparse.ArgumentParser(
         prog="dimdiff",
         description="Ordinal fair division under diminishing / increasing differences.",
@@ -349,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--extension", required=True, choices=[k.value for k in RelationKind]
     )
-    check.add_argument("--budget", type=int, default=_default_budget())
+    check.add_argument("--budget", type=int, default=budget)
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=_cmd_check)
 
@@ -359,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--method", default="search", choices=["condition", "protocol", "search"]
     )
-    solve.add_argument("--budget", type=int, default=_default_budget())
+    solve.add_argument("--budget", type=int, default=budget)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 

@@ -117,10 +117,6 @@ class MultiBundle:
     def size(self) -> int:
         return sum(c for _, c in self.counts)
 
-    @property
-    def distinct_items(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.counts)
-
     def multiplicity(self, item: int) -> int:
         for i, c in self.counts:
             if i == item:
@@ -239,6 +235,10 @@ class UtilityFunction:
         """Utility of a multi-bundle: the multiplicity-weighted sum."""
         return sum(count * self.value(item) for item, count in bundle.counts)
 
+    def __neg__(self) -> UtilityFunction:
+        """The mirrored utility: goods valuations become chores and back."""
+        return UtilityFunction(tuple(-v for v in self.values))
+
     @property
     def sign(self) -> int:
         """+1 if all values are positive, -1 if all negative, 0 otherwise."""
@@ -284,11 +284,6 @@ def level_prefix_sums(bundle: MultiBundle, ranking: Ranking, direction: str = "t
     return sums
 
 
-def utility_of(bundle: MultiBundle, utility: UtilityFunction) -> Value:
-    """Additive utility of a multi-bundle."""
-    return utility.of(bundle)
-
-
 def _is_float_valued(utility: UtilityFunction) -> bool:
     return any(isinstance(v, float) for v in utility.values)
 
@@ -314,32 +309,11 @@ def classify_dd(utility: UtilityFunction, ranking: Ranking) -> bool:
 def classify_id(utility: UtilityFunction, ranking: Ranking) -> bool:
     """True iff the utility is consistent and has increasing differences.
 
-    The chore-side mirror of :func:`classify_dd`: gaps grow toward the bottom.
+    The chore-side mirror of :func:`classify_dd`: ``u`` has increasing
+    differences under a ranking exactly when ``-u`` has diminishing
+    differences under the reversed ranking.
     """
-    if not utility.is_consistent_with(ranking):
-        return False
-    tol = FLOAT_TOLERANCE if _is_float_valued(utility) else 0
-    order = ranking.order
-    for j in range(len(order) - 2):
-        top_gap = utility.value(order[j]) - utility.value(order[j + 1])
-        bottom_gap = utility.value(order[j + 1]) - utility.value(order[j + 2])
-        if top_gap > bottom_gap + tol:
-            return False
-    return True
-
-
-def classify_binary(utility: UtilityFunction, ranking: Ranking) -> bool:
-    """True iff the utility is 1 on the k best items and 0 below, for some k."""
-    m = ranking.item_count
-    if len(utility.values) != m:
-        return False
-    for k in range(1, m + 1):
-        if all(
-            utility.value(item) == (1 if ranking.level(item) >= k else 0)
-            for item in range(m)
-        ):
-            return True
-    return False
+    return classify_dd(-utility, ranking.reversed())
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,14 @@ multi-bundles:
   utilities.
 
 Every checker is exact and runs in O(M) time after sorting bundle levels.
-Two independent validation routes are provided: a cone-generator oracle for
-NDD, and a randomized utility refuter for the "necessary" relations.
+A failed NEC, NDD or NID comparison comes with one deterministic refuting
+utility.  For NEC and NDD, when x has fewer items than y, it is the
+cardinality offset ``M*|y| + level``.  Otherwise NDD uses the first failing
+generator of the diminishing-differences cone, a hinge ``max(0, level - t)``,
+and NEC a near-threshold utility.  NID negates the NDD refuter of y over x
+under the reversed ranking.  The same hinge scan is the cone-generator
+oracle that tests compare with the NDD checker.  A randomized sampler gives
+a second refuter, sound but not complete.
 """
 
 from __future__ import annotations
@@ -171,8 +177,19 @@ _CHECKERS = {
 
 
 # ---------------------------------------------------------------------------
-# Independent NDD oracle
+# The diminishing-differences cone: generator oracle and refuting utilities
 # ---------------------------------------------------------------------------
+
+def _first_failing_hinge(lx: list[int], ly: list[int], m: int) -> Optional[int]:
+    """Smallest t in 1..M-1 whose hinge ``max(0, level - t)`` sums lower over
+    the levels ``lx`` than over ``ly``; None when every hinge holds."""
+    for t in range(1, m):
+        hinge_x = sum(level - t for level in lx if level > t)
+        hinge_y = sum(level - t for level in ly if level > t)
+        if hinge_x < hinge_y:
+            return t
+    return None
+
 
 def ndd_generator_oracle(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
     """NDD decided through the generators of the diminishing-differences cone.
@@ -184,20 +201,12 @@ def ndd_generator_oracle(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bo
     """
     if x.size < y.size:
         return False
-    m = ranking.item_count
-    lx = x.levels(ranking)
-    ly = y.levels(ranking)
-    for k in range(1, m):
-        hinge_x = sum(level - k for level in lx if level > k)
-        hinge_y = sum(level - k for level in ly if level > k)
-        if hinge_x < hinge_y:
-            return False
-    return True
+    return _first_failing_hinge(x.levels(ranking), y.levels(ranking), ranking.item_count) is None
 
 
-# ---------------------------------------------------------------------------
-# Explicit refuting utilities (deterministic constructions)
-# ---------------------------------------------------------------------------
+#: Relations for which :func:`refuting_utility` builds a certificate.
+REFUTABLE_RELATIONS = frozenset({RelationKind.NEC, RelationKind.NDD, RelationKind.NID})
+
 
 def refuting_utility(
     kind: RelationKind, x: MultiBundle, y: MultiBundle, ranking: Ranking
@@ -205,75 +214,22 @@ def refuting_utility(
     """A utility in the relation's class with u(x) < u(y), if the relation fails.
 
     Returns None when the relation holds.  The construction is deterministic
-    and exact, so a returned utility is a checkable certificate.
+    and exact, so a returned utility is a checkable certificate:
+
+    * NEC and NDD, x has fewer items than y: the cardinality offset
+      ``M*|y| + level``, under which one more item outweighs any levels;
+    * NDD otherwise: the first failing cone generator, ``max(0, level - t)``
+      for the smallest failing t, scaled by ``unit = M*(|x| + |y| + 1)`` so
+      that it decides the comparison alone, plus ``level`` for consistency;
+    * NEC otherwise: a near-threshold utility at the first rank k where x's
+      k-th best item falls below y's;
+    * NID: the negated NDD refuter of y over x under the reversed ranking.
     """
-    if kind is RelationKind.NDD:
-        return _ndd_refuting_utility(x, y, ranking)
-    if kind is RelationKind.NEC:
-        return _nec_refuting_utility(x, y, ranking)
     if kind is RelationKind.NID:
-        return _nid_refuting_utility(x, y, ranking)
-    raise ValueError(f"no refuting-utility construction for {kind}")
-
-
-def two_scale_utility(ranking: Ranking, cutoff: int, unit: int) -> UtilityFunction:
-    """Items of level >= cutoff are worth multiples of ``unit``, the rest keep
-    their plain levels.  Has diminishing differences whenever unit >= cutoff."""
-    base = cutoff - 1
-    return UtilityFunction.from_level_function(
-        ranking, lambda lev: (lev - base) * unit if lev >= cutoff else lev
-    )
-
-
-def _hinge_refuting_utility(
-    x: MultiBundle, y: MultiBundle, ranking: Ranking
-) -> Optional[UtilityFunction]:
-    # A failing cone generator max(0, level - t), boosted enough to decide the
-    # comparison on its own, always yields a refuting DD utility.
-    m = ranking.item_count
-    lx = x.levels(ranking)
-    ly = y.levels(ranking)
-    unit = m * (len(lx) + len(ly) + 1)
-    for t in range(1, m):
-        hinge_x = sum(level - t for level in lx if level > t)
-        hinge_y = sum(level - t for level in ly if level > t)
-        if hinge_x < hinge_y:
-            return UtilityFunction.from_level_function(
-                ranking, lambda lev, t=t: max(0, lev - t) * unit + lev
-            )
-    return None
-
-
-def _ndd_refuting_utility(
-    x: MultiBundle, y: MultiBundle, ranking: Ranking
-) -> Optional[UtilityFunction]:
-    m = ranking.item_count
-    lx = x.levels(ranking)
-    ly = y.levels(ranking)
-
-    if len(lx) < len(ly):
-        # Cardinality-dominant utility: a constant so large that having more
-        # items always wins; differences between adjacent levels are all 1.
-        offset = m * len(ly)
-        return UtilityFunction.from_level_function(ranking, lambda lev: offset + lev)
-
-    total_diff = 0
-    for k, (level_x, level_y) in enumerate(zip(lx, ly), start=1):
-        total_diff += level_x - level_y
-        if total_diff < 0:
-            # Two-scale utility keyed to the smallest failing prefix.  With
-            # extra copies of x's k-th best item the two-scale value can fail
-            # to refute, so verify and fall back to a failing cone generator.
-            candidate = two_scale_utility(ranking, lx[k - 1], m * len(lx))
-            if candidate.of(x) < candidate.of(y):
-                return candidate
-            return _hinge_refuting_utility(x, y, ranking)
-    return None
-
-
-def _nec_refuting_utility(
-    x: MultiBundle, y: MultiBundle, ranking: Ranking
-) -> Optional[UtilityFunction]:
+        mirrored = refuting_utility(RelationKind.NDD, y, x, ranking.reversed())
+        return None if mirrored is None else -mirrored
+    if kind not in REFUTABLE_RELATIONS:
+        raise ValueError(f"no refuting-utility construction for {kind}")
     m = ranking.item_count
     lx = x.levels(ranking)
     ly = y.levels(ranking)
@@ -281,6 +237,15 @@ def _nec_refuting_utility(
     if len(lx) < len(ly):
         offset = m * len(ly)
         return UtilityFunction.from_level_function(ranking, lambda lev: offset + lev)
+
+    if kind is RelationKind.NDD:
+        t = _first_failing_hinge(lx, ly, m)
+        if t is None:
+            return None
+        unit = m * (len(lx) + len(ly) + 1)
+        return UtilityFunction.from_level_function(
+            ranking, lambda lev: max(0, lev - t) * unit + lev
+        )
 
     for level_x, level_y in zip(lx, ly):
         if level_x < level_y:
@@ -289,24 +254,10 @@ def _nec_refuting_utility(
             # strictly consistent while the unit gap decides the comparison.
             cutoff = level_y
             epsilon = Fraction(1, 2 * m * (len(lx) + len(ly) + 1))
-
-            def near_threshold(lev: int, cutoff: int = cutoff, epsilon: Fraction = epsilon) -> Fraction:
-                return (1 if lev >= cutoff else 0) + epsilon * lev
-
-            return UtilityFunction.from_level_function(ranking, near_threshold)
+            return UtilityFunction.from_level_function(
+                ranking, lambda lev: (1 if lev >= cutoff else 0) + epsilon * lev
+            )
     return None
-
-
-def _nid_refuting_utility(
-    x: MultiBundle, y: MultiBundle, ranking: Ranking
-) -> Optional[UtilityFunction]:
-    # An increasing-differences utility refuting x >= y is the negation of a
-    # diminishing-differences utility refuting y >= x under the inverse order.
-    reversed_ranking = ranking.reversed()
-    witness = _ndd_refuting_utility(y, x, reversed_ranking)
-    if witness is None:
-        return None
-    return UtilityFunction(tuple(-v for v in witness.values))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +280,7 @@ def sample_dd_utility(ranking: Ranking, rng: random.Random) -> UtilityFunction:
 
 def sample_id_utility(ranking: Ranking, rng: random.Random) -> UtilityFunction:
     """A random increasing-differences chore utility (all values negative)."""
-    mirrored = sample_dd_utility(ranking.reversed(), rng)
-    return UtilityFunction(tuple(-v for v in mirrored.values))
+    return -sample_dd_utility(ranking.reversed(), rng)
 
 
 def sample_consistent_utility(ranking: Ranking, rng: random.Random) -> UtilityFunction:

@@ -27,6 +27,7 @@ from .exceptions import (
 from .extensions import (
     CHORES_RELATIONS,
     GOODS_RELATIONS,
+    REFUTABLE_RELATIONS,
     RelationKind,
     holds,
     refuting_utility,
@@ -155,7 +156,7 @@ def check_proportional(
         scaled = alloc.bundle(agent).scaled(n)
         if not holds(extension, scaled, everything, instance.rankings[agent]):
             witness = None
-            if extension in (RelationKind.NEC, RelationKind.NDD, RelationKind.NID):
+            if extension in REFUTABLE_RELATIONS:
                 witness = refuting_utility(
                     extension, scaled, everything, instance.rankings[agent]
                 )
@@ -217,6 +218,11 @@ def check_envy_free(
 # Pareto efficiency
 # ---------------------------------------------------------------------------
 
+_PARETO_EXTENSIONS = frozenset(
+    {RelationKind.POS, RelationKind.PDD, RelationKind.NEC, RelationKind.NDD}
+)
+
+
 def check_pareto(
     alloc: Allocation,
     instance: Instance,
@@ -237,49 +243,30 @@ def check_pareto(
     states it raises :class:`BudgetExceededError` rather than guessing.
     """
     _require_partition(alloc, instance)
-    if not isinstance(extension, RelationKind):
+    relation: Optional[RelationKind] = None
+    if isinstance(extension, RelationKind):
+        if instance.kind is not ItemKind.GOODS:
+            raise ExtensionKindMismatchError("pareto extensions are defined for goods instances")
+        if extension not in _PARETO_EXTENSIONS:
+            raise UnsupportedExtensionError(
+                f"pareto efficiency is not defined for extension {extension.value}"
+            )
+        relation = extension
+        profile = tuple(lexicographic_utility(r) for r in instance.rankings)
+    else:
         profile = tuple(extension)
         _require_profile(profile, instance)
-        dominator = _find_dominating_allocation(alloc, instance, profile, budget)
-        if dominator is not None:
-            return FairnessVerdict(
-                Criterion.PARETO_EFFICIENCY, None, False, ParetoImprovement(dominator)
-            )
-        return FairnessVerdict(Criterion.PARETO_EFFICIENCY, None, True)
 
-    if instance.kind is not ItemKind.GOODS:
-        raise ExtensionKindMismatchError("pareto extensions are defined for goods instances")
-    if extension in (RelationKind.POS, RelationKind.PDD):
-        verdict = _check_possible_pareto(alloc, instance, budget)
-        return FairnessVerdict(
-            Criterion.PARETO_EFFICIENCY, extension, verdict.result, verdict.certificate
-        )
-    if extension in (RelationKind.NEC, RelationKind.NDD):
-        possible = _check_possible_pareto(alloc, instance, budget)
-        if not possible.result:
-            return FairnessVerdict(
-                Criterion.PARETO_EFFICIENCY, extension, False, possible.certificate
-            )
-        swap = find_one_for_two_swap(alloc, instance)
-        if swap is not None:
-            return FairnessVerdict(Criterion.PARETO_EFFICIENCY, extension, False, swap)
-        return FairnessVerdict(Criterion.PARETO_EFFICIENCY, extension, True)
-    raise UnsupportedExtensionError(
-        f"pareto efficiency is not defined for extension {extension.value}"
-    )
-
-
-def _check_possible_pareto(
-    alloc: Allocation, instance: Instance, budget: int
-) -> FairnessVerdict:
-    lex_profile = tuple(lexicographic_utility(r) for r in instance.rankings)
-    dominator = _find_dominating_allocation(alloc, instance, lex_profile, budget)
+    dominator = _find_dominating_allocation(alloc, instance, profile, budget)
     if dominator is not None:
         return FairnessVerdict(
-            Criterion.PARETO_EFFICIENCY, RelationKind.POS, False,
-            ParetoImprovement(dominator),
+            Criterion.PARETO_EFFICIENCY, relation, False, ParetoImprovement(dominator)
         )
-    return FairnessVerdict(Criterion.PARETO_EFFICIENCY, RelationKind.POS, True)
+    if relation in (RelationKind.NEC, RelationKind.NDD):
+        swap = find_one_for_two_swap(alloc, instance)
+        if swap is not None:
+            return FairnessVerdict(Criterion.PARETO_EFFICIENCY, relation, False, swap)
+    return FairnessVerdict(Criterion.PARETO_EFFICIENCY, relation, True)
 
 
 def find_one_for_two_swap(alloc: Allocation, instance: Instance) -> Optional[OneForTwoSwap]:

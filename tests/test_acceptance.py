@@ -23,7 +23,6 @@ from dimdiff.core import (
     classify_dd,
     level_prefix_sums,
     lexicographic_utility,
-    utility_of,
 )
 from dimdiff.extensions import (
     RelationKind,
@@ -146,11 +145,11 @@ def test_criterion_3_worked_example_fixtures():
 
     eight = level_ranking(8)
     u_square = UtilityFunction.from_level_function(eight, lambda lev: lev * lev)
-    expect("square 84", utility_of(by_levels(8, 4, 2), u_square) == 84)
-    expect("square 85", utility_of(by_levels(7, 6), u_square) == 85)
+    expect("square 84", u_square.of(by_levels(8, 4, 2)) == 84)
+    expect("square 85", u_square.of(by_levels(7, 6)) == 85)
     u_sqrt = UtilityFunction.from_level_function(eight, math.sqrt)
-    expect("sqrt 5.06", abs(utility_of(by_levels(8, 5), u_sqrt) - 5.06) <= 1e-2)
-    expect("sqrt 5.09", abs(utility_of(by_levels(7, 6), u_sqrt) - 5.09) <= 1e-2)
+    expect("sqrt 5.06", abs(u_sqrt.of(by_levels(8, 5)) - 5.06) <= 1e-2)
+    expect("sqrt 5.09", abs(u_sqrt.of(by_levels(7, 6)) - 5.09) <= 1e-2)
 
     # Possible- versus PDD-proportionality on identical rankings, m=3.
     identical = Instance(ItemKind.GOODS, (level_ranking(6), level_ranking(6)))

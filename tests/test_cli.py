@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, reports, file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dimdiff
 from dimdiff.cli import main
 from dimdiff.profiles import (
     allocation_from_json,
@@ -284,6 +288,21 @@ def test_budget_env_var(profile_path, capsys, monkeypatch):
     code = main(["solve", "--profile", path, "--goal", "necpr", "--method", "search"])
     assert code == 3
     assert "undecided" in capsys.readouterr().err
+
+
+def test_malformed_budget_env_var_is_a_usage_error(profile_path, capsys, monkeypatch):
+    monkeypatch.setenv("DIMDIFF_BUDGET", "abc")
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dimdiff.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "dimdiff.cli", "solve", "--profile", profile_path(OPPOSITE),
+         "--goal", "necpr"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "invalid int value: 'abc'" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 # --- reduce / simulate ----------------------------------------------------------

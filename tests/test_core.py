@@ -15,14 +15,12 @@ from dimdiff.core import (
     UtilityFunction,
     binary_threshold_utility,
     borda_utility,
-    classify_binary,
     classify_dd,
     classify_id,
     level_prefix_sums,
     lexicographic_utility,
     negative_borda_utility,
     negative_lexicographic_utility,
-    utility_of,
 )
 
 from conftest import by_levels, level_ranking, mb
@@ -135,13 +133,13 @@ def test_prefix_sums_monotone_and_full_identity(data):
 
 def test_utility_of_worked_examples(eight_items):
     u_square = UtilityFunction.from_level_function(eight_items, lambda lev: lev * lev)
-    assert utility_of(by_levels(8, 4, 2), u_square) == 84
-    assert utility_of(by_levels(7, 6), u_square) == 85
-    assert utility_of(MultiBundle(()), u_square) == 0
+    assert u_square.of(by_levels(8, 4, 2)) == 84
+    assert u_square.of(by_levels(7, 6)) == 85
+    assert u_square.of(MultiBundle(())) == 0
 
     u_sqrt = UtilityFunction.from_level_function(eight_items, math.sqrt)
-    assert utility_of(by_levels(8, 5), u_sqrt) == pytest.approx(5.06, abs=1e-2)
-    assert utility_of(by_levels(7, 6), u_sqrt) == pytest.approx(5.09, abs=1e-2)
+    assert u_sqrt.of(by_levels(8, 5)) == pytest.approx(5.06, abs=1e-2)
+    assert u_sqrt.of(by_levels(7, 6)) == pytest.approx(5.09, abs=1e-2)
 
 
 def test_utility_multiplicity_and_errors(eight_items):
@@ -174,10 +172,7 @@ def test_classification_families(eight_items):
 def test_classify_binary(eight_items):
     for k in range(1, 9):
         u = binary_threshold_utility(eight_items, k)
-        assert classify_binary(u, eight_items)
         assert u.of(by_levels(8, 4, 2)) == sum(1 for lev in (8, 4, 2) if lev >= k)
-    assert not classify_binary(borda_utility(eight_items), eight_items)
-    assert not classify_binary(UtilityFunction((2, 0, 0, 0, 0, 0, 0, 0)), eight_items)
     with pytest.raises(ValueError):
         binary_threshold_utility(eight_items, 0)
 

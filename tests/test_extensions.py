@@ -17,7 +17,6 @@ from dimdiff.extensions import (
     sample_id_utility,
     sampled_utility_refuter,
     threshold_counts,
-    two_scale_utility,
 )
 
 from conftest import by_levels, level_ranking, mb
@@ -168,6 +167,23 @@ def test_generator_oracle_agrees_with_ndd(data):
 
 # --- explicit refuting constructions ---------------------------------------
 
+def assert_refuter_exact(x, y, ranking):
+    """For NEC, NDD and NID: a witness exactly when the relation fails, in the
+    relation's class, with the right sign, valuing x strictly below y."""
+    for kind in (RelationKind.NDD, RelationKind.NEC, RelationKind.NID):
+        witness = refuting_utility(kind, x, y, ranking)
+        assert (witness is None) == holds(kind, x, y, ranking)
+        if witness is None:
+            continue
+        assert witness.of(x) < witness.of(y)
+        if kind is RelationKind.NDD:
+            assert classify_dd(witness, ranking) and witness.sign == 1
+        elif kind is RelationKind.NID:
+            assert classify_id(witness, ranking) and witness.sign == -1
+        else:
+            assert witness.is_consistent_with(ranking) and witness.sign == 1
+
+
 def test_refuting_utilities_sound_and_complete_small():
     for m in range(1, 5):
         ranking = Ranking(tuple(range(m - 1, -1, -1)))
@@ -177,18 +193,23 @@ def test_refuting_utilities_sound_and_complete_small():
         ]
         for x in pool:
             for y in pool:
-                for kind in (RelationKind.NDD, RelationKind.NEC, RelationKind.NID):
-                    witness = refuting_utility(kind, x, y, ranking)
-                    assert (witness is None) == holds(kind, x, y, ranking)
-                    if witness is None:
-                        continue
-                    assert witness.of(x) < witness.of(y)
-                    if kind is RelationKind.NDD:
-                        assert classify_dd(witness, ranking)
-                    elif kind is RelationKind.NID:
-                        assert classify_id(witness, ranking) and witness.sign == -1
-                    else:
-                        assert witness.is_consistent_with(ranking) and witness.sign == 1
+                assert_refuter_exact(x, y, ranking)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_refuting_utilities_sound_and_complete_at_scale(data):
+    # Beyond the exhaustive pool: up to 8 items, multiplicities up to 4, and
+    # the n-times-copied bundle against the full set that check_proportional
+    # compares.
+    m = data.draw(st.integers(5, 8))
+    ranking = data.draw(rankings(m))
+    assert_refuter_exact(
+        data.draw(multibundles(m, 4)), data.draw(multibundles(m, 4)), ranking
+    )
+    n = data.draw(st.integers(1, 4))
+    share = MultiBundle.from_items(data.draw(st.sets(st.integers(0, m - 1))))
+    assert_refuter_exact(share.scaled(n), MultiBundle.from_items(range(m)), ranking)
 
 
 def test_refuting_utility_unsupported_kind(eight_items):
@@ -209,33 +230,6 @@ def test_size_case_construction_is_cardinality_dominant():
         assert witness is not None and witness.of(x) < witness.of(y)
         offset = m * y.size
         assert all(v > offset for v in witness.values)
-
-
-def test_two_scale_construction_on_simple_bundles():
-    # On plain sets the two-scale utility keyed to the first failing prefix
-    # both has diminishing differences and refutes.
-    rng = random.Random(6)
-    checked = 0
-    while checked < 200:
-        m = rng.randint(2, 8)
-        ranking = Ranking(tuple(rng.sample(range(m), m)))
-        xs = rng.sample(range(m), rng.randint(1, m))
-        ys = rng.sample(range(m), rng.randint(1, len(xs)))
-        x, y = MultiBundle.from_items(xs), MultiBundle.from_items(ys)
-        lx, ly = x.levels(ranking), y.levels(ranking)
-        failing = None
-        running = 0
-        for k, (a, b) in enumerate(zip(lx, ly), start=1):
-            running += a - b
-            if running < 0:
-                failing = k
-                break
-        if failing is None:
-            continue
-        witness = two_scale_utility(ranking, lx[failing - 1], m * len(lx))
-        assert classify_dd(witness, ranking)
-        assert witness.of(x) < witness.of(y)
-        checked += 1
 
 
 # --- sampled refuter --------------------------------------------------------
