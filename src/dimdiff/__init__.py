@@ -47,6 +47,8 @@ from .protocols import (
     nidpr_necessary,
     nidpr_three_agents_special,
     nidpr_two_agents,
+    pddpr_exists,
+    pospr_exists,
 )
 from .reductions import X3CInstance, nddef_search_reduced, reduce_x3c, solve_x3c
 from .search import (
@@ -99,6 +101,8 @@ __all__ = [
     "nidpr_two_agents",
     "full_grid_config",
     "pddef_witness_search",
+    "pddpr_exists",
+    "pospr_exists",
     "reduce_x3c",
     "refuting_utility",
     "run_experiment",

@@ -17,6 +17,7 @@ takes few chunks.
 
 from __future__ import annotations
 
+import math
 import time
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
@@ -30,23 +31,60 @@ _GROWTH = 4
 _CHUNK = 8192
 
 
-@lru_cache(maxsize=32)
-def _equal_split_masks(item_count: int, size: int) -> np.ndarray:
-    """All masks with ``size`` bits set, ascending (Gosper order)."""
-    masks = []
-    mask = (1 << size) - 1
-    limit = 1 << item_count
-    while mask < limit:
-        masks.append(mask)
-        # Gosper's hack: next integer with the same popcount.
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
-        if low == 0:  # pragma: no cover - size == 0 handled by caller
-            break
-    table = np.array(masks, dtype=np.int64)
-    table.setflags(write=False)
-    return table
+class _MaskTables:
+    """All masks with ``size`` bits set among ``item_count``, ascending
+    (Gosper order), cached per shape: at most ``maxsize`` tables, the oldest
+    evicted first.
+
+    The Gosper loop builds one mask at a time in Python, C(M, M/2) of them,
+    so it reads the deadline every ``_CHUNK`` masks.  An expired deadline
+    raises and caches nothing; a cached table is always complete.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._tables: dict[tuple[int, int], np.ndarray] = {}
+
+    def __call__(
+        self, item_count: int, size: int, deadline: Optional[float] = None
+    ) -> np.ndarray:
+        key = (item_count, size)
+        if key not in self._tables:
+            table = np.array(self._gosper(item_count, size, deadline), dtype=np.int64)
+            table.setflags(write=False)
+            if len(self._tables) >= self.maxsize:
+                del self._tables[next(iter(self._tables))]
+            self._tables[key] = table
+        return self._tables[key]
+
+    @staticmethod
+    def _gosper(item_count: int, size: int, deadline: Optional[float]) -> list[int]:
+        masks = []
+        mask = (1 << size) - 1
+        limit = 1 << item_count
+        while mask < limit:
+            masks.append(mask)
+            if (
+                deadline is not None
+                and not len(masks) % _CHUNK
+                and time.monotonic() >= deadline
+            ):
+                raise BudgetExceededError(
+                    f"search exceeded its time limit after building {len(masks)} splits"
+                )
+            # Gosper's hack: next integer with the same popcount.
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | (((mask ^ ripple) >> 2) // low)
+            if low == 0:  # pragma: no cover - size == 0 handled by caller
+                break
+        return masks
+
+    def cache_clear(self) -> None:
+        self._tables.clear()
+
+
+_equal_split_masks = _MaskTables(maxsize=32)
 
 
 @lru_cache(maxsize=64)
@@ -187,9 +225,9 @@ def first_equal_split(
     holds its own best item (the one-item prefix), so only such splits are
     scored, and agents sharing a best item have no qualifying split.
     """
-    masks = _equal_split_masks(item_count, item_count // 2)
     if perm_first[0] == perm_second[0]:
-        return None, _scan_limit(len(masks), max_states)
+        return None, _scan_limit(math.comb(item_count, item_count // 2), max_states)
+    masks = _equal_split_masks(item_count, item_count // 2, deadline)
     first_bit = 1 << (item_count - 1 - perm_first[0])
     second_bit = 1 << (item_count - 1 - perm_second[0])
     both = _both_agents(_EQUAL_SPLIT_OK[relation], item_count, perm_first, perm_second)

@@ -24,6 +24,7 @@ from .exceptions import (
 )
 from .extensions import REFUTABLE_RELATIONS, RelationKind, holds, refuting_utility
 from .fairness import (
+    DEFAULT_MAX_STATES,
     Criterion,
     EnvyWitness,
     OneForTwoSwap,
@@ -48,9 +49,11 @@ from .protocols import (
     nidpr_necessary,
     nidpr_three_agents_special,
     nidpr_two_agents,
+    pddpr_exists,
+    pospr_exists,
 )
 from .reductions import reduce_x3c, x3c_from_json
-from .search import DEFAULT_MAX_STATES, AllocationGoal, SearchBudget, exists_allocation
+from .search import AllocationGoal, SearchBudget, exists_allocation
 from .simulate import SimConfig, full_grid_config, main_csv
 
 EXIT_HOLDS = 0
@@ -173,6 +176,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 _GOAL_TABLE = {
     "nddpr": (Criterion.PROPORTIONALITY, RelationKind.NDD),
     "necpr": (Criterion.PROPORTIONALITY, RelationKind.NEC),
+    "pddpr": (Criterion.PROPORTIONALITY, RelationKind.PDD),
+    "pospr": (Criterion.PROPORTIONALITY, RelationKind.POS),
     "nidpr": (Criterion.PROPORTIONALITY, RelationKind.NID),
     "nddef": (Criterion.ENVY_FREENESS, RelationKind.NDD),
 }
@@ -210,6 +215,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if method in ("condition", "protocol"):
         if goal == "nddpr":
             report = nddpr_exists(instance)
+        elif goal == "pddpr":
+            report = pddpr_exists(instance)
+        elif goal == "pospr":
+            report = pospr_exists(instance)
         elif goal == "nidpr":
             if method == "condition":
                 report = nidpr_necessary(instance)

@@ -33,7 +33,9 @@ from .extensions import (
     refuting_utility,
 )
 
-DEFAULT_PARETO_BUDGET = 10_000_000
+#: The default state budget of every search: the Pareto dominance search
+#: here and the existence searches of :mod:`dimdiff.search`.
+DEFAULT_MAX_STATES = 10_000_000
 
 
 class Criterion(Enum):
@@ -227,7 +229,7 @@ def check_pareto(
     alloc: Allocation,
     instance: Instance,
     extension: Extension,
-    budget: int = DEFAULT_PARETO_BUDGET,
+    budget: int = DEFAULT_MAX_STATES,
 ) -> FairnessVerdict:
     """Pareto-efficiency verdicts.
 

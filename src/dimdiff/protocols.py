@@ -1,10 +1,38 @@
 """Constructive allocation protocols and existence conditions.
 
-Goods: a linear-time decision for necessarily-DD-proportional allocations,
-with the balanced round-robin protocol as the constructive half.  Chores: a
-necessary feasibility condition (avoid every agent's worst-chore window),
-an exact two-agent protocol, and a three-agent protocol for the special case
-of near-identical rankings.
+Goods: linear-time decisions for necessarily-DD-proportional and
+possibly-proportional allocations, and for possibly-DD-proportional ones at
+two agents or with distinct best items; balanced round-robin and serial
+picks are the constructive halves.  Chores: a necessary feasibility
+condition (avoid every agent's worst-chore window), an exact two-agent
+protocol, and a three-agent protocol for the special case of near-identical
+rankings.
+
+Serial picks: agents 0..n-1 each take their best remaining item, and agent
+n-1 also takes every item left over (M >= n).  Agent i picks from its own
+top i+1, since only i items are gone.  The closed forms below rest on it.
+
+PosPR exists iff M >= n.  Under ``_pos`` agent i's n-copied bundle X is
+possibly as good as the full set unless the full set beats it at every
+count threshold, that is unless t > n * |X & top_t(i)| for every t = 1..M.
+An empty bundle is beaten so, which makes M >= n necessary.  One item of
+rank r <= n is enough (take t = r), and adding items only raises the
+counts, so serial picks are a witness.
+
+PDDPR (``_pdd``: more than M/n items, a strictly winning prefix, or a total
+level of at least M(M+1)/(2n)):
+
+* M < n: it does not exist, since an empty bundle meets no clause.
+* Distinct best items: it exists.  Serial picks give each agent its own
+  best item, of level M.  For n >= 2 its n copies lead the n-copied bundle,
+  whose two-item prefix 2M strictly beats the full set's 2M - 1; for n = 1
+  the agent holds everything and the totals tie.
+* n = 2 with a shared best item: it exists iff M >= 3.  Serial picks give
+  agent 0 the shared item (its two copies win as above) and agent 1 the
+  other M - 1 > M/2 items.  At M = 2 the agent without the shared item
+  holds level 1 alone: copied, (1, 1) against (2, 1) is no larger, wins no
+  prefix and totals 2 < 3.
+* Otherwise (n >= 3, a shared best item, M >= n) the report is undecided.
 """
 
 from __future__ import annotations
@@ -24,6 +52,7 @@ from .fairness import check_proportional
 class Reason(Enum):
     NOT_MULTIPLE_OF_N = "not_multiple_of_n"
     SHARED_BEST_ITEM = "shared_best_item"
+    FEWER_ITEMS_THAN_AGENTS = "fewer_items_than_agents"
     SHARED_WORST_WINDOW_INFEASIBLE = "shared_worst_window_infeasible"
     CONDITIONS_MET = "conditions_met"
     OUT_OF_THEORY = "out_of_theory"
@@ -82,6 +111,54 @@ def nddpr_exists(instance: Instance) -> ExistenceReport:
     if len(best_items) < n:
         return ExistenceReport(False, Reason.SHARED_BEST_ITEM)
     return ExistenceReport(True, Reason.CONDITIONS_MET, balanced_round_robin(instance))
+
+
+def _serial_picks(instance: Instance) -> Allocation:
+    """Agents 0..n-1 each take their best remaining item; the last agent
+    also takes the leftovers.  Requires at least as many items as agents."""
+    n, m = instance.agent_count, instance.item_count
+    taken = [False] * m
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    for agent, ranking in enumerate(instance.rankings):
+        item = next(i for i in ranking.order if not taken[i])
+        taken[item] = True
+        bundles[agent].append(item)
+    bundles[-1].extend(i for i in range(m) if not taken[i])
+    return Allocation.from_lists(bundles)
+
+
+def pospr_exists(instance: Instance) -> ExistenceReport:
+    """Decide existence of a possibly-proportional goods allocation.
+
+    Exists iff there are at least as many items as agents; serial picks
+    construct the witness (see the module docstring).
+    """
+    if instance.kind is not ItemKind.GOODS:
+        raise ValueError("pospr_exists applies to goods instances")
+    if instance.item_count < instance.agent_count:
+        return ExistenceReport(False, Reason.FEWER_ITEMS_THAN_AGENTS)
+    return ExistenceReport(True, Reason.CONDITIONS_MET, _serial_picks(instance))
+
+
+def pddpr_exists(instance: Instance) -> ExistenceReport:
+    """Decide existence of a possibly-DD-proportional goods allocation.
+
+    Decisive with fewer items than agents, with distinct best items, and at
+    two agents; undecided (``OUT_OF_THEORY``) for three or more agents that
+    share a best item.  Serial picks construct every witness (see the
+    module docstring).
+    """
+    if instance.kind is not ItemKind.GOODS:
+        raise ValueError("pddpr_exists applies to goods instances")
+    n, m = instance.agent_count, instance.item_count
+    if m < n:
+        return ExistenceReport(False, Reason.FEWER_ITEMS_THAN_AGENTS)
+    if len({r.best for r in instance.rankings}) < n:
+        if n > 2:
+            return ExistenceReport(None, Reason.OUT_OF_THEORY)
+        if m < 3:
+            return ExistenceReport(False, Reason.SHARED_BEST_ITEM)
+    return ExistenceReport(True, Reason.CONDITIONS_MET, _serial_picks(instance))
 
 
 # ---------------------------------------------------------------------------

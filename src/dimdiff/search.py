@@ -26,9 +26,7 @@ from . import _pairsearch
 from .core import Allocation, Instance, ItemKind, MultiBundle, UtilityFunction
 from .exceptions import BudgetExceededError, UnsupportedExtensionError
 from .extensions import RelationKind, holds
-from .fairness import Criterion, _require_kind_match
-
-DEFAULT_MAX_STATES = 10_000_000
+from .fairness import DEFAULT_MAX_STATES, Criterion, _require_kind_match
 
 #: Extensions whose proportionality / envy-freeness force equal bundle sizes
 #: (their size condition makes unequal allocations infeasible outright).

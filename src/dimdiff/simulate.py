@@ -2,11 +2,17 @@
 
 Each trial draws a per-item market value uniformly from [1, 2] and gives each
 agent that value plus independent uniform noise from [-A, A]; rankings are
-the descending value orders.  Per trial the experiment decides by exhaustive
-search whether proportional allocations exist under the four goods
-extensions, and audits whether the round-robin output is proportional under
-the generating cardinal values.  Results aggregate per (A, m) cell into a
-plot-ready CSV.
+the descending value orders.  Per trial the experiment decides whether
+proportional allocations exist under the four goods extensions, and audits
+whether the round-robin output is proportional under the generating cardinal
+values.  Results aggregate per (A, m) cell into a plot-ready CSV.
+
+The possible and possibly-DD columns come from the closed forms
+``pospr_exists`` and ``pddpr_exists`` whenever they are decisive, which is
+every trial except those of three or more agents sharing a best item; those
+fall back to exhaustive search.  The necessary and necessarily-DD columns
+always come from exhaustive search (the two-agent split kernels at n = 2),
+and the NDD answer is cross-checked against ``nddpr_exists``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .core import (
 )
 from .extensions import RelationKind
 from .fairness import Criterion, check_proportional
-from .protocols import nddpr_exists
+from .protocols import nddpr_exists, pddpr_exists, pospr_exists
 from .search import AllocationGoal, SearchBudget, exists_allocation
 
 CSV_HEADER = "A,m,trials,p_necpr,p_nddpr,p_pddpr,p_pospr,p_rr_cardinal_proportional"
@@ -37,6 +43,10 @@ _EXTENSION_ORDER = (
     ("pddpr", RelationKind.PDD),
     ("pospr", RelationKind.POS),
 )
+
+#: Columns with a closed-form decision; exhaustive search settles the rest
+#: and every trial where the closed form is undecided.
+_CLOSED_FORMS = {"pddpr": pddpr_exists, "pospr": pospr_exists}
 
 
 @dataclass(frozen=True)
@@ -136,10 +146,14 @@ def run_trial(
     values, instance = generate_profile(m, noise, rng, agents)
     exists: dict[str, bool] = {}
     for name, extension in _EXTENSION_ORDER:
-        witness = exists_allocation(
-            instance, AllocationGoal(Criterion.PROPORTIONALITY, extension), budget
-        )
-        exists[name] = witness is not None
+        decide = _CLOSED_FORMS.get(name)
+        answer = None if decide is None else decide(instance).exists
+        if answer is None:
+            witness = exists_allocation(
+                instance, AllocationGoal(Criterion.PROPORTIONALITY, extension), budget
+            )
+            answer = witness is not None
+        exists[name] = answer
 
     # The implication chain must hold per trial, not just in aggregate.
     chain = [exists[name] for name, _ in _EXTENSION_ORDER]

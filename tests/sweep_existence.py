@@ -1,0 +1,104 @@
+"""Sweep the closed-form existence decisions against exhaustive search.
+
+Not collected by pytest; run it directly:
+
+    PYTHONPATH=src python tests/sweep_existence.py
+    PYTHONPATH=src python tests/sweep_existence.py 7 4
+
+The arguments are the largest item count M for n = 2, 3, 4 agents in turn;
+the default ``8 5 4`` is the full sweep, and an agent count without an
+argument is skipped.  Every profile with the first ranking fixed to
+0 > 1 > ... is checked for M = 1 up to the limit (relabelling the items
+maps every profile to one of these).  Per profile, every decisive answer of
+``pospr_exists`` and ``pddpr_exists`` must equal ``exists_allocation``, and
+every witness must be a partition that ``check_proportional`` accepts.
+Undecided answers are counted, with how many of them the search says exist.
+The exit status is nonzero on any fault.
+"""
+
+import itertools
+import sys
+import time
+
+from dimdiff.core import Instance, ItemKind, Ranking
+from dimdiff.extensions import RelationKind
+from dimdiff.fairness import Criterion, check_proportional
+from dimdiff.protocols import pddpr_exists, pospr_exists
+from dimdiff.search import AllocationGoal, exists_allocation
+
+DECISIONS = (
+    ("pospr", pospr_exists, RelationKind.POS),
+    ("pddpr", pddpr_exists, RelationKind.PDD),
+)
+DEFAULT_LIMITS = (8, 5, 4)
+
+
+def profiles(agents, items):
+    first = Ranking(tuple(range(items)))
+    orders = list(itertools.permutations(range(items)))
+    for rest in itertools.product(orders, repeat=agents - 1):
+        yield Instance(ItemKind.GOODS, (first,) + tuple(Ranking(o) for o in rest))
+
+
+def faults(instance, name, decide, extension):
+    """(answer, searched, faults): the decision's answer (None when
+    undecided), whether the search finds an allocation, and why the answer
+    is wrong (empty when it is right)."""
+    report = decide(instance)
+    found = []
+    witness = exists_allocation(
+        instance, AllocationGoal(Criterion.PROPORTIONALITY, extension)
+    )
+    if report.exists is None:
+        return None, witness is not None, found
+    if report.exists != (witness is not None):
+        found.append(f"{name} says {report.exists}, the search disagrees")
+    if report.exists:
+        alloc = report.allocation
+        if alloc is None or not alloc.is_partition_of(instance.item_count):
+            found.append(f"{name} witness is not a partition")
+        elif not check_proportional(alloc, instance, extension).result:
+            found.append(f"{name} witness is not proportional")
+    return report.exists, witness is not None, found
+
+
+def report(agents, items):
+    start = time.time()
+    total = 0
+    exists = {name: 0 for name, _, _ in DECISIONS}
+    undecided = {name: 0 for name, _, _ in DECISIONS}
+    undecided_exist = {name: 0 for name, _, _ in DECISIONS}
+    failures = []
+    for instance in profiles(agents, items):
+        total += 1
+        for name, decide, extension in DECISIONS:
+            answer, searched, found = faults(instance, name, decide, extension)
+            exists[name] += searched
+            if answer is None:
+                undecided[name] += 1
+                undecided_exist[name] += searched
+            if found:
+                failures.append(([r.order for r in instance.rankings], found))
+    counts = ", ".join(
+        f"{name} {exists[name]} exist, {undecided[name]} undecided"
+        f" ({undecided_exist[name]} exist)"
+        for name, _, _ in DECISIONS
+    )
+    print(f"n={agents} M={items}: {total} profiles; {counts}; "
+          f"{len(failures)} failures, {time.time() - start:.1f}s", flush=True)
+    for failure in failures[:5]:
+        print("   ", failure)
+    return not failures
+
+
+def main(argv):
+    limits = [int(a) for a in argv[1:]] or list(DEFAULT_LIMITS)
+    ok = True
+    for agents, limit in zip((2, 3, 4), limits):
+        for items in range(1, limit + 1):
+            ok &= report(agents, items)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

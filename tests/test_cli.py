@@ -249,6 +249,57 @@ def test_solve_odd_items(profile_path, capsys):
     assert code == 1 and "not_multiple_of_n" in out
 
 
+SHARED_PAIR = {
+    "kind": "goods",
+    "items": ["a", "b"],
+    "agents": [
+        {"name": "p", "ranking": ["a", "b"]},
+        {"name": "q", "ranking": ["a", "b"]},
+    ],
+}
+
+SHARED_THREE = {
+    "kind": "goods",
+    "items": ["a", "b", "c"],
+    "agents": [
+        {"name": "p", "ranking": ["a", "b", "c"]},
+        {"name": "q", "ranking": ["a", "c", "b"]},
+        {"name": "r", "ranking": ["a", "b", "c"]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "payload, goal, decided, searched, reason",
+    [
+        (OPPOSITE, "pddpr", 0, 0, "conditions_met"),
+        (OPPOSITE, "pospr", 0, 0, "conditions_met"),
+        (SHARED_PAIR, "pddpr", 1, 1, "shared_best_item"),
+        (SHARED_PAIR, "pospr", 0, 0, "conditions_met"),
+        (SHARED_THREE, "pddpr", 3, 0, "out_of_theory"),
+        (SHARED_THREE, "pospr", 0, 0, "conditions_met"),
+        ({**SHARED_THREE, "items": ["a", "b"], "agents": [
+            {"name": name, "ranking": ["a", "b"]} for name in "pqr"
+        ]}, "pospr", 1, 1, "fewer_items_than_agents"),
+    ],
+)
+def test_solve_possible_goals(profile_path, capsys, payload, goal, decided, searched, reason):
+    path = profile_path(payload)
+    code = main(["solve", "--profile", path, "--goal", goal, "--method", "protocol", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == decided and out["reason"] == reason
+    if decided == 0:
+        alloc = json.dumps(out["allocation"])
+        assert main([
+            "check", "--profile", path, "--allocation", alloc,
+            "--criterion", "pr", "--extension", goal[:3],
+        ]) == 0
+    code = main(["solve", "--profile", path, "--goal", goal, "--method", "condition"])
+    out = capsys.readouterr().out
+    assert code == decided and reason in out and "allocation:" not in out
+    assert main(["solve", "--profile", path, "--goal", goal, "--method", "search"]) == searched
+
+
 def test_solve_nddef_search(profile_path, capsys):
     path = profile_path(THREE_AGENT)
     code = main(["solve", "--profile", path, "--goal", "nddef", "--method", "search"])

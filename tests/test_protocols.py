@@ -14,8 +14,11 @@ from dimdiff.protocols import (
     nidpr_necessary,
     nidpr_three_agents_special,
     nidpr_two_agents,
+    pddpr_exists,
+    pospr_exists,
 )
 from dimdiff.search import AllocationGoal, exists_allocation
+from sweep_existence import DECISIONS, faults, profiles
 
 
 def random_instance(rng, agents, items, kind=ItemKind.GOODS):
@@ -129,6 +132,46 @@ def test_nddpr_condition_matches_brute_force():
             inst, AllocationGoal(Criterion.PROPORTIONALITY, RelationKind.NDD)
         )
         assert (witness is not None) == bool(nddpr_exists(inst).exists)
+
+
+# --- PosPR and PDDPR existence -----------------------------------------------
+
+def test_possible_decisions_match_search_on_every_small_profile():
+    # The Tier-1 slice of tests/sweep_existence.py: every profile with the
+    # first ranking fixed, n = 2 with M <= 6 and n = 3 with M <= 4.
+    undecided = 0
+    for agents, limit in ((2, 6), (3, 4)):
+        for items in range(1, limit + 1):
+            for instance in profiles(agents, items):
+                for name, decide, extension in DECISIONS:
+                    answer, _, found = faults(instance, name, decide, extension)
+                    assert not found, ([r.order for r in instance.rankings], found)
+                    undecided += answer is None
+    # Only PDDPR at three agents sharing a best item is left open:
+    # 28 profiles at M = 3 and 360 at M = 4.
+    assert undecided == 28 + 360
+
+
+def test_possible_decisions_reasons_and_witnesses():
+    shared = Instance(ItemKind.GOODS, (Ranking((0, 1, 2)), Ranking((0, 2, 1))))
+    report = pddpr_exists(shared)
+    # Agent 0 takes the shared best item, agent 1 everything else.
+    assert report.exists is True and report.allocation.bundles == ((0,), (1, 2))
+    pair = Instance(ItemKind.GOODS, (Ranking((0, 1)), Ranking((0, 1))))
+    assert pddpr_exists(pair).reason is Reason.SHARED_BEST_ITEM
+    assert pospr_exists(pair).allocation.bundles == ((0,), (1,))
+    crowded = Instance(ItemKind.GOODS, (Ranking((0, 1)),) * 3)
+    for decide in (pddpr_exists, pospr_exists):
+        report = decide(crowded)
+        assert report.exists is False and report.reason is Reason.FEWER_ITEMS_THAN_AGENTS
+    three = Instance(ItemKind.GOODS, (Ranking((0, 1, 2)), Ranking((0, 2, 1)), Ranking((1, 0, 2))))
+    assert pddpr_exists(three).reason is Reason.OUT_OF_THEORY
+    single = Instance(ItemKind.GOODS, (Ranking((2, 0, 1)),))
+    assert pddpr_exists(single).allocation.bundles == ((0, 1, 2),)
+    chores = Instance(ItemKind.CHORES, (Ranking((0, 1)), Ranking((1, 0))))
+    for decide in (pddpr_exists, pospr_exists):
+        with pytest.raises(ValueError):
+            decide(chores)
 
 
 # --- chores: necessary condition --------------------------------------------

@@ -1,7 +1,9 @@
 """Enumeration, existence search (generic and vectorized), witness finding."""
 
+import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -429,6 +431,27 @@ def test_two_agent_search_honours_its_time_limit():
     assert exists_allocation(
         early, AllocationGoal(PR, RelationKind.NDD), SearchBudget(time_limit=0)
     ) is not None
+
+
+def test_equal_split_table_build_honours_the_time_limit():
+    # The C(22, 11) = 705,432-mask Gosper table takes about 0.2 s to build;
+    # the deadline is read while it is built, and no partial table is kept.
+    inst = goods(tuple(range(22)), (1, 0) + tuple(range(2, 22)))
+    _pairsearch._equal_split_masks.cache_clear()
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="time limit"):
+        exists_allocation(
+            inst, AllocationGoal(PR, RelationKind.NEC), SearchBudget(time_limit=0.001)
+        )
+    assert time.monotonic() - start < 0.05
+    assert (22, 11) not in _pairsearch._equal_split_masks._tables
+    # Complete tables are unchanged: every balanced mask, ascending.
+    for items in range(2, 17, 2):
+        expected = sorted(
+            sum(1 << bit for bit in bits)
+            for bits in itertools.combinations(range(items), items // 2)
+        )
+        assert _pairsearch._equal_split_masks(items, items // 2).tolist() == expected
 
 
 def test_existence_monotone_in_extension_strength():
