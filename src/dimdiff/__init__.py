@@ -43,6 +43,8 @@ from .protocols import (
     ExistenceReport,
     Reason,
     balanced_round_robin,
+    hall_violation_holds,
+    necpr_exists,
     nddpr_exists,
     nidpr_necessary,
     nidpr_three_agents_special,
@@ -89,10 +91,12 @@ __all__ = [
     "enumerate_allocations",
     "exists_allocation",
     "generate_profile",
+    "hall_violation_holds",
     "holds",
     "level_prefix_sums",
     "lexicographic_utility",
     "nddef_search_reduced",
+    "necpr_exists",
     "nddpr_exists",
     "ndd_generator_oracle",
     "negative_borda_utility",

@@ -38,7 +38,9 @@ class _MaskTables:
 
     The Gosper loop builds one mask at a time in Python, C(M, M/2) of them,
     so it reads the deadline every ``_CHUNK`` masks.  An expired deadline
-    raises and caches nothing; a cached table is always complete.
+    raises and caches nothing; a cached table is always complete.  A
+    ``limit`` below the table's size builds only the first ``limit`` masks
+    of a table not yet cached, and caches nothing either.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -46,11 +48,19 @@ class _MaskTables:
         self._tables: dict[tuple[int, int], np.ndarray] = {}
 
     def __call__(
-        self, item_count: int, size: int, deadline: Optional[float] = None
+        self,
+        item_count: int,
+        size: int,
+        deadline: Optional[float] = None,
+        limit: Optional[int] = None,
     ) -> np.ndarray:
         key = (item_count, size)
         if key not in self._tables:
-            table = np.array(self._gosper(item_count, size, deadline), dtype=np.int64)
+            total = math.comb(item_count, size)
+            count = total if limit is None else min(limit, total)
+            table = np.array(self._gosper(item_count, size, deadline, count), dtype=np.int64)
+            if count < total:
+                return table
             table.setflags(write=False)
             if len(self._tables) >= self.maxsize:
                 del self._tables[next(iter(self._tables))]
@@ -58,11 +68,12 @@ class _MaskTables:
         return self._tables[key]
 
     @staticmethod
-    def _gosper(item_count: int, size: int, deadline: Optional[float]) -> list[int]:
+    def _gosper(
+        item_count: int, size: int, deadline: Optional[float], count: int
+    ) -> list[int]:
         masks = []
         mask = (1 << size) - 1
-        limit = 1 << item_count
-        while mask < limit:
+        while len(masks) < count:
             masks.append(mask)
             if (
                 deadline is not None
@@ -227,7 +238,7 @@ def first_equal_split(
     """
     if perm_first[0] == perm_second[0]:
         return None, _scan_limit(math.comb(item_count, item_count // 2), max_states)
-    masks = _equal_split_masks(item_count, item_count // 2, deadline)
+    masks = _equal_split_masks(item_count, item_count // 2, deadline, max_states)
     first_bit = 1 << (item_count - 1 - perm_first[0])
     second_bit = 1 << (item_count - 1 - perm_second[0])
     both = _both_agents(_EQUAL_SPLIT_OK[relation], item_count, perm_first, perm_second)

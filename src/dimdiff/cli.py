@@ -12,6 +12,7 @@ Exit codes are stable API: 0 holds / found, 1 does not hold / not found,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -45,6 +46,7 @@ from .profiles import (
 )
 from .protocols import (
     ExistenceReport,
+    necpr_exists,
     nddpr_exists,
     nidpr_necessary,
     nidpr_three_agents_special,
@@ -197,6 +199,13 @@ def _report_payload(report: ExistenceReport, profile: NamedProfile, goal: str) -
     elif report.exists is False:
         payload["exists"] = False
         lines.append(f"{goal}: does not exist ({report.reason.value})")
+        if report.hall_violator is not None:
+            slots = [[profile.agent_names[agent], j] for agent, j in report.hall_violator]
+            payload["hall_violator"] = slots
+            lines.append(
+                "Hall violator, slots (agent, j) with fewer neighbouring items: "
+                + ", ".join(f"({name}, {j})" for name, j in slots)
+            )
         code = EXIT_FAILS
     else:
         payload["exists"] = None
@@ -213,7 +222,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     method = args.method
 
     if method in ("condition", "protocol"):
-        if goal == "nddpr":
+        if goal == "necpr":
+            report = necpr_exists(instance)
+        elif goal == "nddpr":
             report = nddpr_exists(instance)
         elif goal == "pddpr":
             report = pddpr_exists(instance)
@@ -231,7 +242,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             raise ValueError(f"goal {goal} has no {method} method; use --method search")
         if method == "condition":
-            report = ExistenceReport(report.exists, report.reason, None)
+            report = dataclasses.replace(report, allocation=None)
         payload, code = _report_payload(report, profile, goal)
         _emit(payload, args.json)
         return code

@@ -3,10 +3,11 @@
 Goods: linear-time decisions for necessarily-DD-proportional and
 possibly-proportional allocations, and for possibly-DD-proportional ones at
 two agents or with distinct best items; balanced round-robin and serial
-picks are the constructive halves.  Chores: a necessary feasibility
-condition (avoid every agent's worst-chore window), an exact two-agent
-protocol, and a three-agent protocol for the special case of near-identical
-rankings.
+picks are the constructive halves.  Necessarily-proportional allocations
+are decided for any n by a bipartite matching of slots to items.  Chores:
+a necessary feasibility condition (avoid every agent's worst-chore
+window), an exact two-agent protocol, and a three-agent protocol for the
+special case of near-identical rankings.
 
 Serial picks: agents 0..n-1 each take their best remaining item, and agent
 n-1 also takes every item left over (M >= n).  Agent i picks from its own
@@ -33,6 +34,31 @@ level of at least M(M+1)/(2n)):
   holds level 1 alone: copied, (1, 1) against (2, 1) is no larger, wins no
   prefix and totals 2 < 3.
 * Otherwise (n >= 3, a shared best item, M >= n) the report is undecided.
+
+NecPR (``_nec``: the n-copied bundle X is at least as large as the full
+set, and its l-th best item is ranked weakly above the full set's l-th
+best, agent i's rank-l item, for l = 1..M).  Every bundle needs at least
+M/n items, so if n does not divide M none exists.  Otherwise, with
+M = kn, every bundle holds exactly k items.  The l-th best item of nX is
+X's ceil(l/n)-th best, and the bound is tightest at l = (j-1)n + 1, so X
+is NEC-proportional for i iff X's j-th best item lies in i's top
+(j-1)n + 1 for j = 1..k.  Call (i, j) a slot, with those top items as its
+neighbours.  NecPR exists iff the kn slots have a perfect matching to the
+kn items:
+
+* Only if: match slot (i, j) to i's j-th best held item.
+* If: give agent i the items of its slots (i, 1..k).  Its slots
+  (i, 1..j) hold j items, all in its top (j-1)n + 1 since the neighbour
+  sets grow with j, so its j-th best held item lies there too.
+
+The matching is Kuhn's augmenting-path algorithm, slots in the order
+(0, 1), (1, 1), ..., (n-1, k), each trying its neighbours best first.
+When the search from a slot s fails, every item it visited is matched to
+a slot it reached other than s, and every neighbour of a reached slot was
+visited.  So the reached slots outnumber their neighbours by one: a Hall
+violator, which no matching can saturate.  (Cf. Aziz, Gaspers, Mackenzie
+and Walsh, Fair assignment of indivisible objects under ordinal
+preferences, AIJ 2015, on SD-proportionality.)
 """
 
 from __future__ import annotations
@@ -40,7 +66,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 import networkx as nx
 
@@ -53,6 +79,7 @@ class Reason(Enum):
     NOT_MULTIPLE_OF_N = "not_multiple_of_n"
     SHARED_BEST_ITEM = "shared_best_item"
     FEWER_ITEMS_THAN_AGENTS = "fewer_items_than_agents"
+    HALL_VIOLATION = "hall_violation"
     SHARED_WORST_WINDOW_INFEASIBLE = "shared_worst_window_infeasible"
     CONDITIONS_MET = "conditions_met"
     OUT_OF_THEORY = "out_of_theory"
@@ -64,12 +91,15 @@ class ExistenceReport:
 
     ``exists`` is three-valued: True / False when the condition is decisive,
     None when it is only necessary and leaves existence open.  When True, the
-    allocation is present and passes the corresponding fairness check.
+    allocation is present and passes the corresponding fairness check.  A
+    ``HALL_VIOLATION`` no carries the violating slots ``(agent, j)`` of
+    :func:`necpr_exists`, which :func:`hall_violation_holds` checks.
     """
 
     exists: Optional[bool]
     reason: Reason
     allocation: Optional[Allocation] = None
+    hall_violator: Optional[tuple[tuple[int, int], ...]] = None
 
 
 def balanced_round_robin(instance: Instance) -> Allocation:
@@ -159,6 +189,92 @@ def pddpr_exists(instance: Instance) -> ExistenceReport:
         if m < 3:
             return ExistenceReport(False, Reason.SHARED_BEST_ITEM)
     return ExistenceReport(True, Reason.CONDITIONS_MET, _serial_picks(instance))
+
+
+def _augment(root: int, tops: list[tuple[int, ...]], owner: list[Optional[int]]) -> set[int]:
+    """Kuhn's search for an augmenting path from the unmatched slot ``root``.
+
+    ``tops[s]`` lists slot s's neighbours and ``owner[item]`` the slot
+    matched to each item.  On success the path is flipped and the result is
+    empty; on failure nothing changes and the result is the set of slots the
+    search reached.
+    """
+    visited: set[int] = set()
+    stack = [root]
+    paths = [iter(tops[root])]
+    via: list[int] = []  # via[d]: the item through which stack[d + 1] was reached
+    while stack:
+        for item in paths[-1]:
+            if item in visited:
+                continue
+            visited.add(item)
+            holder = owner[item]
+            via.append(item)
+            if holder is None:
+                for slot, taken in zip(stack, via):
+                    owner[taken] = slot
+                return set()
+            stack.append(holder)
+            paths.append(iter(tops[holder]))
+            break
+        else:
+            stack.pop()
+            paths.pop()
+            if via:
+                via.pop()
+    return {root} | {owner[item] for item in visited}
+
+
+def necpr_exists(instance: Instance) -> ExistenceReport:
+    """Decide existence of a necessarily-proportional goods allocation.
+
+    Exists iff n divides M and the slots (i, j), j = 1..M/n, have a perfect
+    matching to the items, where slot (i, j) may take any of agent i's top
+    (j-1)n + 1 items (see the module docstring).  A yes carries the matched
+    bundles; a no with ``HALL_VIOLATION`` carries the slots reached by the
+    failed augmenting search, fewer items than slots neighbouring them.
+    """
+    if instance.kind is not ItemKind.GOODS:
+        raise ValueError("necpr_exists applies to goods instances")
+    n, m = instance.agent_count, instance.item_count
+    if m % n:
+        return ExistenceReport(False, Reason.NOT_MULTIPLE_OF_N)
+    slots = [(agent, j) for j in range(1, m // n + 1) for agent in range(n)]
+    tops = [instance.rankings[agent].order[: (j - 1) * n + 1] for agent, j in slots]
+    owner: list[Optional[int]] = [None] * m
+    for slot, top in enumerate(tops):
+        free = next((item for item in top if owner[item] is None), None)
+        if free is not None:  # the common case, without a search
+            owner[free] = slot
+            continue
+        reached = _augment(slot, tops, owner)
+        if reached:
+            violator = tuple(sorted(slots[s] for s in reached))
+            return ExistenceReport(False, Reason.HALL_VIOLATION, hall_violator=violator)
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    for item, slot in enumerate(owner):
+        bundles[slots[slot][0]].append(item)
+    return ExistenceReport(True, Reason.CONDITIONS_MET, Allocation.from_lists(bundles))
+
+
+def hall_violation_holds(instance: Instance, slots: Iterable[tuple[int, int]]) -> bool:
+    """Does this set of NecPR slots have fewer neighbouring items than slots?
+
+    Recomputes the neighbours from the rankings: slot (i, j), with
+    0 <= i < n and 1 <= j <= M/n, neighbours agent i's top (j-1)n + 1
+    items.  False for an invalid slot, or when n does not divide M (there
+    are no slots then).
+    """
+    n, m = instance.agent_count, instance.item_count
+    if m % n:
+        return False
+    chosen = set(slots)
+    neighbours: set[int] = set()
+    for agent, j in chosen:
+        if not (0 <= agent < n and 1 <= j <= m // n):
+            return False
+        neighbours.update(instance.rankings[agent].order[: (j - 1) * n + 1])
+    return len(neighbours) < len(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,16 @@ proportional allocations exist under the four goods extensions, and audits
 whether the round-robin output is proportional under the generating cardinal
 values.  Results aggregate per (A, m) cell into a plot-ready CSV.
 
-The possible and possibly-DD columns come from the closed forms
-``pospr_exists`` and ``pddpr_exists`` whenever they are decisive, which is
-every trial except those of three or more agents sharing a best item; those
-fall back to exhaustive search.  The necessary and necessarily-DD columns
-always come from exhaustive search (the two-agent split kernels at n = 2),
-and the NDD answer is cross-checked against ``nddpr_exists``.
+The necessary column comes from ``necpr_exists``, a slot-to-item matching
+that is decisive for any n; every yes witness must pass
+``check_proportional`` and every no certificate (a divisibility failure or
+a Hall violator) must check, on every trial.  The possible and possibly-DD
+columns come from the closed forms ``pospr_exists`` and ``pddpr_exists``
+whenever they are decisive, which is every trial except those of three or
+more agents sharing a best item; those fall back to exhaustive search.  The
+necessarily-DD column always comes from exhaustive search (the two-agent
+equal-split kernel at n = 2), and it is cross-checked against
+``nddpr_exists``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,14 @@ from .core import (
 )
 from .extensions import RelationKind
 from .fairness import Criterion, check_proportional
-from .protocols import nddpr_exists, pddpr_exists, pospr_exists
+from .protocols import (
+    Reason,
+    hall_violation_holds,
+    necpr_exists,
+    nddpr_exists,
+    pddpr_exists,
+    pospr_exists,
+)
 from .search import AllocationGoal, SearchBudget, exists_allocation
 
 CSV_HEADER = "A,m,trials,p_necpr,p_nddpr,p_pddpr,p_pospr,p_rr_cardinal_proportional"
@@ -44,9 +55,9 @@ _EXTENSION_ORDER = (
     ("pospr", RelationKind.POS),
 )
 
-#: Columns with a closed-form decision; exhaustive search settles the rest
-#: and every trial where the closed form is undecided.
-_CLOSED_FORMS = {"pddpr": pddpr_exists, "pospr": pospr_exists}
+#: Columns with a polynomial decision; exhaustive search settles the rest
+#: and every trial where the decision is undecided.
+_DECISIONS = {"necpr": necpr_exists, "pddpr": pddpr_exists, "pospr": pospr_exists}
 
 
 @dataclass(frozen=True)
@@ -145,9 +156,9 @@ def run_trial(
 ) -> TrialResult:
     values, instance = generate_profile(m, noise, rng, agents)
     exists: dict[str, bool] = {}
+    reports = {name: decide(instance) for name, decide in _DECISIONS.items()}
     for name, extension in _EXTENSION_ORDER:
-        decide = _CLOSED_FORMS.get(name)
-        answer = None if decide is None else decide(instance).exists
+        answer = reports[name].exists if name in reports else None
         if answer is None:
             witness = exists_allocation(
                 instance, AllocationGoal(Criterion.PROPORTIONALITY, extension), budget
@@ -160,6 +171,16 @@ def run_trial(
     for stronger, weaker in zip(chain, chain[1:]):
         if stronger and not weaker:
             raise AssertionError(f"extension implication chain violated: {exists}")
+
+    necpr = reports["necpr"]
+    if necpr.exists:
+        certified = check_proportional(necpr.allocation, instance, RelationKind.NEC).result
+    elif necpr.reason is Reason.NOT_MULTIPLE_OF_N:
+        certified = instance.item_count % agents != 0
+    else:
+        certified = hall_violation_holds(instance, necpr.hall_violator)
+    if not certified:
+        raise AssertionError(f"NecPR matching certificate failed its check: {necpr}")
 
     report = nddpr_exists(instance)
     if bool(report.exists) != exists["nddpr"]:

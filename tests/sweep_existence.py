@@ -10,10 +10,12 @@ the default ``8 5 4`` is the full sweep, and an agent count without an
 argument is skipped.  Every profile with the first ranking fixed to
 0 > 1 > ... is checked for M = 1 up to the limit (relabelling the items
 maps every profile to one of these).  Per profile, every decisive answer of
-``pospr_exists`` and ``pddpr_exists`` must equal ``exists_allocation``, and
-every witness must be a partition that ``check_proportional`` accepts.
-Undecided answers are counted, with how many of them the search says exist.
-The exit status is nonzero on any fault.
+``necpr_exists``, ``pospr_exists`` and ``pddpr_exists`` must equal
+``exists_allocation``, every witness must be a partition that
+``check_proportional`` accepts, and every Hall-violation no must carry slots
+that ``hall_violation_holds`` accepts.  Undecided answers are counted, with
+how many of them the search says exist.  The exit status is nonzero on any
+fault.
 """
 
 import itertools
@@ -23,10 +25,17 @@ import time
 from dimdiff.core import Instance, ItemKind, Ranking
 from dimdiff.extensions import RelationKind
 from dimdiff.fairness import Criterion, check_proportional
-from dimdiff.protocols import pddpr_exists, pospr_exists
+from dimdiff.protocols import (
+    Reason,
+    hall_violation_holds,
+    necpr_exists,
+    pddpr_exists,
+    pospr_exists,
+)
 from dimdiff.search import AllocationGoal, exists_allocation
 
 DECISIONS = (
+    ("necpr", necpr_exists, RelationKind.NEC),
     ("pospr", pospr_exists, RelationKind.POS),
     ("pddpr", pddpr_exists, RelationKind.PDD),
 )
@@ -59,6 +68,10 @@ def faults(instance, name, decide, extension):
             found.append(f"{name} witness is not a partition")
         elif not check_proportional(alloc, instance, extension).result:
             found.append(f"{name} witness is not proportional")
+    elif report.reason is Reason.HALL_VIOLATION and not hall_violation_holds(
+        instance, report.hall_violator
+    ):
+        found.append(f"{name} Hall violator does not check")
     return report.exists, witness is not None, found
 
 

@@ -6,6 +6,7 @@ in the docstring of ``dimdiff.reductions``.  The test verifies every
 discrepancy independently before reporting it.
 """
 
+import hashlib
 import io
 import itertools
 import math
@@ -367,6 +368,17 @@ def test_criterion_6_np_hardness_reduction():
     )
 
 
+#: The bytes of the criterion-7 CSV (seed 1234, the full grid); every
+#: speed-up of the simulation must leave them unchanged.
+CRITERION_7_CSV_SHA256 = "497cbfe2601cebec93b68163638a7036fbed774854221b4fe135c1fd537a605c"
+
+
+def _csv_sha256(cells, config) -> str:
+    buffer = io.StringIO()
+    write_csv(cells, config, buffer)
+    return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+
+
 def test_criterion_7_simulation_reproduction():
     start = time.time()
     config = full_grid_config(seed=1234)
@@ -390,6 +402,7 @@ def test_criterion_7_simulation_reproduction():
         "gap>=0.15": max_gap >= 0.15,
         "m8 conditional>=0.9": conditional >= 0.9,
         "runtime<30min": elapsed < 1800,
+        "csv sha256": _csv_sha256(cells, config) == CRITERION_7_CSV_SHA256,
     }
     ok = all(checks.values())
     _report(

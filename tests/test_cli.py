@@ -323,6 +323,31 @@ def test_solve_nidpr(profile_path, capsys):
     assert main(["solve", "--profile", path, "--goal", "nidpr", "--method", "search"]) == 0
 
 
+@pytest.mark.parametrize("method", ["condition", "protocol"])
+def test_solve_necpr_matching(profile_path, capsys, method):
+    # OPPOSITE: both agents' second slots may take only items 4, 3 and 2,
+    # which the first slots share: four slots, three items.
+    path = profile_path(OPPOSITE)
+    code = main(["solve", "--profile", path, "--goal", "necpr", "--method", method, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["reason"] == "hall_violation"
+    assert out["hall_violator"] == [["alice", 1], ["alice", 2], ["bob", 1], ["bob", 2]]
+    split = {**OPPOSITE, "agents": [
+        OPPOSITE["agents"][0], {"name": "bob", "ranking": ["1", "2", "3", "4"]},
+    ]}
+    path = profile_path(split, "split.json")
+    code = main(["solve", "--profile", path, "--goal", "necpr", "--method", method, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["reason"] == "conditions_met"
+    assert ("allocation" in out) == (method == "protocol")
+    if method == "protocol":
+        assert main([
+            "check", "--profile", path, "--allocation", json.dumps(out["allocation"]),
+            "--criterion", "pr", "--extension", "nec",
+        ]) == 0
+    assert main(["solve", "--profile", path, "--goal", "necpr", "--method", "search"]) == 0
+
+
 def test_solve_budget_exhaustion(profile_path, capsys):
     path = profile_path(OPPOSITE)
     code = main([

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimdiff.core import Instance, ItemKind, Ranking, level_prefix_sums
 from dimdiff.extensions import RelationKind
@@ -10,6 +11,8 @@ from dimdiff.fairness import Criterion, check_proportional
 from dimdiff.protocols import (
     Reason,
     balanced_round_robin,
+    hall_violation_holds,
+    necpr_exists,
     nddpr_exists,
     nidpr_necessary,
     nidpr_three_agents_special,
@@ -138,7 +141,8 @@ def test_nddpr_condition_matches_brute_force():
 
 def test_possible_decisions_match_search_on_every_small_profile():
     # The Tier-1 slice of tests/sweep_existence.py: every profile with the
-    # first ranking fixed, n = 2 with M <= 6 and n = 3 with M <= 4.
+    # first ranking fixed, n = 2 with M <= 6 and n = 3 with M <= 4, for the
+    # NecPR matching as well as the PosPR and PDDPR closed forms.
     undecided = 0
     for agents, limit in ((2, 6), (3, 4)):
         for items in range(1, limit + 1):
@@ -172,6 +176,69 @@ def test_possible_decisions_reasons_and_witnesses():
     for decide in (pddpr_exists, pospr_exists):
         with pytest.raises(ValueError):
             decide(chores)
+
+
+# --- NecPR slot matching ------------------------------------------------------
+
+@st.composite
+def necpr_instances(draw):
+    """Goods profiles at the grid's sizes (n = 2, even M up to 16) and at
+    n = 3 with M = 3, 6, 9."""
+    agents, items = draw(st.sampled_from(
+        [(2, items) for items in range(2, 17, 2)] + [(3, 3), (3, 6), (3, 9)]
+    ))
+    orders = [draw(st.permutations(range(items))) for _ in range(agents)]
+    return Instance(ItemKind.GOODS, tuple(Ranking(tuple(o)) for o in orders))
+
+
+@settings(max_examples=150, deadline=None)
+@given(necpr_instances())
+def test_necpr_matching_matches_search(instance):
+    report = necpr_exists(instance)
+    witness = exists_allocation(
+        instance, AllocationGoal(Criterion.PROPORTIONALITY, RelationKind.NEC)
+    )
+    assert report.exists == (witness is not None)
+    if report.exists:
+        assert report.allocation.is_partition_of(instance.item_count)
+        assert check_proportional(report.allocation, instance, RelationKind.NEC).result
+    else:
+        assert report.reason is Reason.HALL_VIOLATION
+        assert hall_violation_holds(instance, report.hall_violator)
+
+
+def goods_instance(*orders):
+    return Instance(ItemKind.GOODS, tuple(Ranking(o) for o in orders))
+
+
+def test_necpr_hall_violator_by_hand():
+    # Both best-slots (j = 1) need item 0: two slots, one neighbouring item.
+    same = goods_instance((0, 1, 2, 3), (0, 1, 2, 3))
+    report = necpr_exists(same)
+    assert report.exists is False and report.reason is Reason.HALL_VIOLATION
+    assert report.hall_violator == ((0, 1), (1, 1))
+    assert hall_violation_holds(same, [(0, 1), (1, 1)])
+    # Each agent's j = 2 slot alone has three neighbours; slot j = 3 does not exist.
+    assert not hall_violation_holds(same, [(0, 2), (1, 1)])
+    assert not hall_violation_holds(same, [(0, 3), (1, 1)])
+    assert not hall_violation_holds(same, [(2, 1), (1, 1)])
+    assert not hall_violation_holds(same, [])
+    odd = goods_instance((0, 1, 2), (0, 1, 2))
+    assert necpr_exists(odd).reason is Reason.NOT_MULTIPLE_OF_N
+    assert not hall_violation_holds(odd, [(0, 1), (1, 1)])
+    with pytest.raises(ValueError):
+        necpr_exists(Instance(ItemKind.CHORES, same.rankings))
+
+
+def test_necpr_matching_augments_past_a_greedy_pick():
+    # Slot (0, 2) first takes item 2, the best free one of its top three;
+    # slot (1, 2) then finds its top three {1, 0, 2} taken, and the
+    # augmenting path moves slot (0, 2) to item 3.
+    instance = goods_instance((0, 2, 3, 1), (1, 0, 2, 3))
+    report = necpr_exists(instance)
+    assert report.exists is True
+    assert report.allocation.bundles == ((0, 3), (1, 2))
+    assert check_proportional(report.allocation, instance, RelationKind.NEC).result
 
 
 # --- chores: necessary condition --------------------------------------------

@@ -454,6 +454,27 @@ def test_equal_split_table_build_honours_the_time_limit():
         assert _pairsearch._equal_split_masks(items, items // 2).tolist() == expected
 
 
+def test_equal_split_table_build_honours_a_small_state_budget():
+    # A state budget below C(22, 11) builds only that many masks, uncached.
+    inst = goods(tuple(range(22)), (1, 0) + tuple(range(2, 22)))
+    _pairsearch._equal_split_masks.cache_clear()
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="states"):
+        exists_allocation(inst, AllocationGoal(PR, RelationKind.NEC), SearchBudget(max_states=10))
+    assert time.monotonic() - start < 0.05
+    assert not _pairsearch._equal_split_masks._tables
+    # The partial table answers as the full one does: this NEC witness is the
+    # 39th of the C(8, 4) = 70 masks.
+    first, second = (7, 1, 5, 3, 4, 2, 0, 6), (5, 0, 3, 4, 6, 7, 1, 2)
+    for max_states in (0, 1, 38, 39, 69, 70, 1000):
+        _pairsearch._equal_split_masks.cache_clear()
+        partial = _pairsearch.first_equal_split(8, first, second, "nec", max_states)
+        assert bool(_pairsearch._equal_split_masks._tables) == (max_states >= 70)
+        _pairsearch._equal_split_masks(8, 4)
+        full = _pairsearch.first_equal_split(8, first, second, "nec", max_states)
+        assert partial == full == ((142, 39) if max_states >= 39 else (None, max_states))
+
+
 def test_existence_monotone_in_extension_strength():
     rng = random.Random(22)
     chain = (RelationKind.NEC, RelationKind.NDD, RelationKind.PDD, RelationKind.POS)
