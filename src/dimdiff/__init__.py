@@ -43,6 +43,7 @@ from .protocols import (
     ExistenceReport,
     Reason,
     balanced_round_robin,
+    certificate_holds,
     hall_violation_holds,
     necpr_exists,
     nddpr_exists,
@@ -83,6 +84,7 @@ __all__ = [
     "X3CInstance",
     "balanced_round_robin",
     "borda_utility",
+    "certificate_holds",
     "check_envy_free",
     "check_pareto",
     "check_proportional",

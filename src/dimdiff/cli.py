@@ -42,6 +42,8 @@ from .profiles import (
     load_preflib_soc,
     load_profile,
     parse_bundle,
+    parse_json,
+    read_json,
     save_profile,
 )
 from .protocols import (
@@ -112,10 +114,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _read_allocation(spec: str, profile: NamedProfile):
     if spec.lstrip().startswith("{"):
-        payload = json.loads(spec)
+        payload = parse_json(spec)
     else:
-        with open(spec, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = read_json(spec)
     return allocation_from_json(payload, profile)
 
 
@@ -270,8 +271,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            config = _sim_config_from_json(json.load(handle), args.seed)
+        config = _sim_config_from_json(read_json(args.config), args.seed)
     else:
         config = full_grid_config(args.seed, trials=args.trials)
     cells = main_csv(config, args.out, progress=args.progress)
@@ -310,8 +310,7 @@ def _sim_config_from_json(raw: object, seed: int) -> SimConfig:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    with open(args.x3c, encoding="utf-8") as handle:
-        x3c = x3c_from_json(json.load(handle))
+    x3c = x3c_from_json(read_json(args.x3c))
     reduced = reduce_x3c(x3c)
     q, n = x3c.cover_size, x3c.triplet_count
     item_names = [f"m{e}" for e in range(3 * q)]

@@ -87,9 +87,21 @@ def profile_to_json(profile: NamedProfile) -> dict:
     }
 
 
-def load_profile(path: str) -> NamedProfile:
+def parse_json(text: str) -> object:
+    """Decode JSON text; a document nested too deeply is a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
+
+
+def read_json(path: str) -> object:
     with open(path, encoding="utf-8") as handle:
-        return profile_from_json(json.load(handle))
+        return parse_json(handle.read())
+
+
+def load_profile(path: str) -> NamedProfile:
+    return profile_from_json(read_json(path))
 
 
 def save_profile(profile: NamedProfile, path: str) -> None:

@@ -9,6 +9,31 @@ a necessary feasibility condition (avoid every agent's worst-chore
 window), an exact two-agent protocol, and a three-agent protocol for the
 special case of near-identical rankings.
 
+NDDPR (``_ndd``: the n-copied bundle X is at least as large as the full
+set, and every top-k prefix of its levels sums to at least the full set's
+M + (M-1) + ... + (M-k+1)) exists iff n divides M and the best items are
+distinct:
+
+* Only if: every n-copied bundle needs at least M items, and the bundles
+  hold M items in all, so each holds exactly M/n and n divides M.  The
+  k = 1 prefix needs level M, the agent's best item.  If two agents share
+  a best item, one of them does not hold it, and its n-copied top level
+  is at most M - 1 < M.
+* If: balanced round-robin (order 0..n-1, then n-1..0, per round) is a
+  witness.  In round 1 every agent takes its own best item, still free
+  because the best items are distinct.  Round j copied n times fills
+  positions (j-1)n + 1..jn of nX with the level of agent i's round-j
+  pick, which is agent i's q-th pick of the round with q = i + 1 in odd
+  rounds and q = n - i in even ones.  Only (j-1)n + q - 1 items are gone
+  before it, so that level is at least M - (j-1)n - q + 1.  Against the
+  full set's levels M - (j-1)n - t, t = 0..n-1, the running difference
+  changes by at least -(q-1), -(q-2), ..., n-q: it dips by at most
+  q(q-1)/2 inside the round and ends n(n-1)/2 - n(q-1) higher.  Round 1
+  has q - 1 replaced by 0, which leaves the difference at n(n-1)/2 or
+  more; each even round then leaves it at n*i or more, each later odd
+  round at n(n-1)/2 or more again, and the dips n(n-1)/2 - (n-i)(n-i-1)/2
+  and n*i - i(i+1)/2 are never negative.
+
 Serial picks: agents 0..n-1 each take their best remaining item, and agent
 n-1 also takes every item left over (M >= n).  Agent i picks from its own
 top i+1, since only i items are gone.  The closed forms below rest on it.
@@ -94,6 +119,7 @@ class ExistenceReport:
     allocation is present and passes the corresponding fairness check.  A
     ``HALL_VIOLATION`` no carries the violating slots ``(agent, j)`` of
     :func:`necpr_exists`, which :func:`hall_violation_holds` checks.
+    :func:`certificate_holds` checks a decisive goods report as a whole.
     """
 
     exists: Optional[bool]
@@ -130,7 +156,8 @@ def nddpr_exists(instance: Instance) -> ExistenceReport:
     """Decide existence of a necessarily-DD-proportional goods allocation.
 
     Exists iff the items split evenly and all best items are distinct; in
-    that case balanced round-robin constructs a witness in O(M) picks.
+    that case balanced round-robin constructs a witness in O(M) picks (see
+    the module docstring).
     """
     if instance.kind is not ItemKind.GOODS:
         raise ValueError("nddpr_exists applies to goods instances")
@@ -275,6 +302,38 @@ def hall_violation_holds(instance: Instance, slots: Iterable[tuple[int, int]]) -
             return False
         neighbours.update(instance.rankings[agent].order[: (j - 1) * n + 1])
     return len(neighbours) < len(chosen)
+
+
+def certificate_holds(
+    instance: Instance, report: ExistenceReport, extension: RelationKind
+) -> bool:
+    """Does a decisive goods report check against the instance?
+
+    A yes must carry a partition of the items that ``check_proportional``
+    accepts under ``extension``.  A no must carry a reason that holds: n
+    does not divide M, two rankings share a best item, fewer items than
+    agents, or a Hall violator that :func:`hall_violation_holds` accepts.
+    False for an undecided report and for any other reason.
+    """
+    n, m = instance.agent_count, instance.item_count
+    if report.exists:
+        allocation = report.allocation
+        return (
+            allocation is not None
+            and allocation.is_partition_of(m)
+            and check_proportional(allocation, instance, extension).result
+        )
+    if report.exists is None:
+        return False
+    if report.reason is Reason.NOT_MULTIPLE_OF_N:
+        return m % n != 0
+    if report.reason is Reason.SHARED_BEST_ITEM:
+        return len({r.best for r in instance.rankings}) < n
+    if report.reason is Reason.FEWER_ITEMS_THAN_AGENTS:
+        return m < n
+    if report.reason is Reason.HALL_VIOLATION:
+        return hall_violation_holds(instance, report.hall_violator or ())
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,22 @@ proportional allocations exist under the four goods extensions, and audits
 whether the round-robin output is proportional under the generating cardinal
 values.  Results aggregate per (A, m) cell into a plot-ready CSV.
 
-The necessary column comes from ``necpr_exists``, a slot-to-item matching
-that is decisive for any n; every yes witness must pass
-``check_proportional`` and every no certificate (a divisibility failure or
-a Hall violator) must check, on every trial.  The possible and possibly-DD
-columns come from the closed forms ``pospr_exists`` and ``pddpr_exists``
-whenever they are decisive, which is every trial except those of three or
-more agents sharing a best item; those fall back to exhaustive search.  The
-necessarily-DD column always comes from exhaustive search (the two-agent
-equal-split kernel at n = 2), and it is cross-checked against
-``nddpr_exists``.
+The two necessary columns come from decisions that are exact for any n:
+``necpr_exists`` (a slot-to-item matching) and ``nddpr_exists`` (n divides
+M and the best items are distinct, with balanced round-robin as the
+witness).  On every trial both certificates must pass
+``certificate_holds``: a yes witness ``check_proportional`` accepts, or a
+no whose reason (a divisibility failure, a shared best item or a Hall
+violator) holds.  The possible and possibly-DD columns come from the closed
+forms ``pospr_exists`` and ``pddpr_exists`` whenever they are decisive,
+which is every trial except those of three or more agents sharing a best
+item; only those fall back to exhaustive search, so no two-agent trial
+searches.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
@@ -37,8 +39,7 @@ from .core import (
 from .extensions import RelationKind
 from .fairness import Criterion, check_proportional
 from .protocols import (
-    Reason,
-    hall_violation_holds,
+    certificate_holds,
     necpr_exists,
     nddpr_exists,
     pddpr_exists,
@@ -55,9 +56,22 @@ _EXTENSION_ORDER = (
     ("pospr", RelationKind.POS),
 )
 
-#: Columns with a polynomial decision; exhaustive search settles the rest
-#: and every trial where the decision is undecided.
+#: Polynomial decisions of the columns; exhaustive search settles a trial
+#: only where one is undecided.  ``run_trial`` calls ``nddpr_exists`` by its
+#: module-level name instead, so a wrapper installed there sees every call.
 _DECISIONS = {"necpr": necpr_exists, "pddpr": pddpr_exists, "pospr": pospr_exists}
+
+#: Columns whose every answer carries a certificate checked per trial.
+_CERTIFIED = (("necpr", RelationKind.NEC), ("nddpr", RelationKind.NDD))
+
+
+def _valid_noise(amplitude: float) -> bool:
+    # numpy draws the noise from [-A, A] only if the width 2A is finite.
+    try:
+        width = 2 * float(amplitude)
+    except OverflowError:  # an integer beyond the float range
+        return False
+    return width > 0 and math.isfinite(width)
 
 
 @dataclass(frozen=True)
@@ -71,12 +85,13 @@ class SimConfig:
     agents: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "noise_levels", tuple(float(a) for a in self.noise_levels))
+        noise_levels = tuple(self.noise_levels)
+        if not noise_levels or not all(map(_valid_noise, noise_levels)):
+            raise ValueError("noise levels must be positive and finite")
+        object.__setattr__(self, "noise_levels", tuple(float(a) for a in noise_levels))
         object.__setattr__(
             self, "item_pair_counts", tuple(int(m) for m in self.item_pair_counts)
         )
-        if not self.noise_levels or any(a <= 0 for a in self.noise_levels):
-            raise ValueError("noise levels must be positive")
         if not self.item_pair_counts or any(m < 1 for m in self.item_pair_counts):
             raise ValueError("item pair counts must be >= 1")
         if self.trials < 1:
@@ -129,8 +144,8 @@ def generate_profile(
     Value ties have probability zero in theory but can occur in floats; they
     are broken by item identifier to keep rankings strict.
     """
-    if noise <= 0:
-        raise ValueError("noise must be positive")
+    if not _valid_noise(noise):
+        raise ValueError("noise must be positive and finite")
     item_count = 2 * m
     market = rng.uniform(1.0, 2.0, item_count)
     values = market[None, :] + rng.uniform(-noise, noise, (agents, item_count))
@@ -155,10 +170,15 @@ def run_trial(
     budget: Optional[SearchBudget] = None,
 ) -> TrialResult:
     values, instance = generate_profile(m, noise, rng, agents)
-    exists: dict[str, bool] = {}
     reports = {name: decide(instance) for name, decide in _DECISIONS.items()}
+    reports["nddpr"] = nddpr_exists(instance)
+    for name, extension in _CERTIFIED:
+        if not certificate_holds(instance, reports[name], extension):
+            raise AssertionError(f"{name} certificate failed its check: {reports[name]}")
+
+    exists: dict[str, bool] = {}
     for name, extension in _EXTENSION_ORDER:
-        answer = reports[name].exists if name in reports else None
+        answer = reports[name].exists
         if answer is None:
             witness = exists_allocation(
                 instance, AllocationGoal(Criterion.PROPORTIONALITY, extension), budget
@@ -172,27 +192,12 @@ def run_trial(
         if stronger and not weaker:
             raise AssertionError(f"extension implication chain violated: {exists}")
 
-    necpr = reports["necpr"]
-    if necpr.exists:
-        certified = check_proportional(necpr.allocation, instance, RelationKind.NEC).result
-    elif necpr.reason is Reason.NOT_MULTIPLE_OF_N:
-        certified = instance.item_count % agents != 0
-    else:
-        certified = hall_violation_holds(instance, necpr.hall_violator)
-    if not certified:
-        raise AssertionError(f"NecPR matching certificate failed its check: {necpr}")
-
-    report = nddpr_exists(instance)
-    if bool(report.exists) != exists["nddpr"]:
-        raise AssertionError(
-            "linear-time existence condition disagrees with exhaustive search"
-        )
-
+    # A yes from nddpr_exists is the round-robin allocation, whose NDD
+    # guarantee certificate_holds checked above.
     rr_proportional = False
+    report = reports["nddpr"]
     if report.exists:
         allocation = report.allocation
-        if not check_proportional(allocation, instance, RelationKind.NDD).result:
-            raise AssertionError("round-robin output failed its NDD guarantee")
         profile = tuple(UtilityFunction(tuple(values[a])) for a in range(agents))
         rr_proportional = check_proportional(allocation, instance, profile).result
         if all(

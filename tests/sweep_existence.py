@@ -10,10 +10,11 @@ the default ``8 5 4`` is the full sweep, and an agent count without an
 argument is skipped.  Every profile with the first ranking fixed to
 0 > 1 > ... is checked for M = 1 up to the limit (relabelling the items
 maps every profile to one of these).  Per profile, every decisive answer of
-``necpr_exists``, ``pospr_exists`` and ``pddpr_exists`` must equal
-``exists_allocation``, every witness must be a partition that
-``check_proportional`` accepts, and every Hall-violation no must carry slots
-that ``hall_violation_holds`` accepts.  Undecided answers are counted, with
+``necpr_exists``, ``nddpr_exists``, ``pospr_exists`` and ``pddpr_exists``
+must equal ``exists_allocation`` and pass ``certificate_holds``: every
+witness must be a partition that ``check_proportional`` accepts, and every
+no must carry a reason that holds (a divisibility failure, two rankings
+sharing a best item, fewer items than agents, or a Hall violator).  Undecided answers are counted, with
 how many of them the search says exist.  The exit status is nonzero on any
 fault.
 """
@@ -24,11 +25,11 @@ import time
 
 from dimdiff.core import Instance, ItemKind, Ranking
 from dimdiff.extensions import RelationKind
-from dimdiff.fairness import Criterion, check_proportional
+from dimdiff.fairness import Criterion
 from dimdiff.protocols import (
-    Reason,
-    hall_violation_holds,
+    certificate_holds,
     necpr_exists,
+    nddpr_exists,
     pddpr_exists,
     pospr_exists,
 )
@@ -36,6 +37,7 @@ from dimdiff.search import AllocationGoal, exists_allocation
 
 DECISIONS = (
     ("necpr", necpr_exists, RelationKind.NEC),
+    ("nddpr", nddpr_exists, RelationKind.NDD),
     ("pospr", pospr_exists, RelationKind.POS),
     ("pddpr", pddpr_exists, RelationKind.PDD),
 )
@@ -62,16 +64,8 @@ def faults(instance, name, decide, extension):
         return None, witness is not None, found
     if report.exists != (witness is not None):
         found.append(f"{name} says {report.exists}, the search disagrees")
-    if report.exists:
-        alloc = report.allocation
-        if alloc is None or not alloc.is_partition_of(instance.item_count):
-            found.append(f"{name} witness is not a partition")
-        elif not check_proportional(alloc, instance, extension).result:
-            found.append(f"{name} witness is not proportional")
-    elif report.reason is Reason.HALL_VIOLATION and not hall_violation_holds(
-        instance, report.hall_violator
-    ):
-        found.append(f"{name} Hall violator does not check")
+    if not certificate_holds(instance, report, extension):
+        found.append(f"{name} certificate does not check ({report.reason.value})")
     return report.exists, witness is not None, found
 
 

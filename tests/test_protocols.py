@@ -5,12 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimdiff.core import Instance, ItemKind, Ranking, level_prefix_sums
+from dimdiff.core import Allocation, Instance, ItemKind, Ranking, level_prefix_sums
 from dimdiff.extensions import RelationKind
 from dimdiff.fairness import Criterion, check_proportional
 from dimdiff.protocols import (
+    ExistenceReport,
     Reason,
     balanced_round_robin,
+    certificate_holds,
     hall_violation_holds,
     necpr_exists,
     nddpr_exists,
@@ -137,12 +139,65 @@ def test_nddpr_condition_matches_brute_force():
         assert (witness is not None) == bool(nddpr_exists(inst).exists)
 
 
+@st.composite
+def nddpr_instances(draw):
+    """Goods profiles at the two-agent kernel's sizes (even M up to 16), at
+    n = 3 with M = 3, 6, 9, 12 and at n = 4 with M = 4, 8."""
+    agents, items = draw(st.sampled_from(
+        [(2, items) for items in range(2, 17, 2)]
+        + [(3, items) for items in (3, 6, 9, 12)]
+        + [(4, 4), (4, 8)]
+    ))
+    orders = [draw(st.permutations(range(items))) for _ in range(agents)]
+    return Instance(ItemKind.GOODS, tuple(Ranking(tuple(o)) for o in orders))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nddpr_instances())
+def test_nddpr_condition_matches_search_with_checked_certificates(instance):
+    report = nddpr_exists(instance)
+    witness = exists_allocation(
+        instance, AllocationGoal(Criterion.PROPORTIONALITY, RelationKind.NDD)
+    )
+    assert report.exists == (witness is not None)
+    assert certificate_holds(instance, report, RelationKind.NDD)
+    if report.exists:
+        assert check_proportional(report.allocation, instance, RelationKind.NDD).result
+        assert check_proportional(witness, instance, RelationKind.NDD).result
+    else:
+        assert report.reason is Reason.SHARED_BEST_ITEM
+
+
+def test_certificate_holds_rejects_false_certificates():
+    distinct = goods_instance((0, 1, 2, 3), (1, 0, 2, 3))
+    shared = goods_instance((0, 1, 2, 3), (0, 2, 1, 3))
+    odd = goods_instance((0, 1, 2), (2, 1, 0))
+    ndd = RelationKind.NDD
+    no = ExistenceReport(False, Reason.SHARED_BEST_ITEM)
+    assert certificate_holds(shared, no, ndd)
+    assert not certificate_holds(distinct, no, ndd)
+    divisibility = ExistenceReport(False, Reason.NOT_MULTIPLE_OF_N)
+    assert certificate_holds(odd, divisibility, ndd)
+    assert not certificate_holds(distinct, divisibility, ndd)
+    crowded = ExistenceReport(False, Reason.FEWER_ITEMS_THAN_AGENTS)
+    assert not certificate_holds(distinct, crowded, ndd)
+    assert not certificate_holds(distinct, ExistenceReport(None, Reason.OUT_OF_THEORY), ndd)
+    # A witness must be a partition that the extension accepts.
+    assert certificate_holds(distinct, nddpr_exists(distinct), ndd)
+    unfair = Allocation.from_lists([(0, 1), (2, 3)])
+    assert not certificate_holds(distinct, ExistenceReport(True, Reason.CONDITIONS_MET, unfair), ndd)
+    partial = Allocation.from_lists([(0, 2), (1,)])
+    assert not certificate_holds(distinct, ExistenceReport(True, Reason.CONDITIONS_MET, partial), ndd)
+    assert not certificate_holds(distinct, ExistenceReport(True, Reason.CONDITIONS_MET), ndd)
+
+
 # --- PosPR and PDDPR existence -----------------------------------------------
 
 def test_possible_decisions_match_search_on_every_small_profile():
     # The Tier-1 slice of tests/sweep_existence.py: every profile with the
     # first ranking fixed, n = 2 with M <= 6 and n = 3 with M <= 4, for the
-    # NecPR matching as well as the PosPR and PDDPR closed forms.
+    # NecPR matching and the NDDPR condition as well as the PosPR and PDDPR
+    # closed forms.
     undecided = 0
     for agents, limit in ((2, 6), (3, 4)):
         for items in range(1, limit + 1):

@@ -5,7 +5,9 @@ import io
 import numpy as np
 import pytest
 
+from dimdiff import simulate
 from dimdiff.core import ItemKind
+from dimdiff.protocols import ExistenceReport, Reason
 from dimdiff.simulate import (
     CSV_HEADER,
     SimConfig,
@@ -30,6 +32,12 @@ def small_config(seed=7, trials=40):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig((0.0,), (2,), 10, 1)
+    # numpy cannot draw from [-A, A] unless 2A is a finite float.
+    for noise in (float("nan"), float("inf"), 1e308, 10 ** 400):
+        with pytest.raises(ValueError):
+            SimConfig((noise,), (2,), 10, 1)
+        with pytest.raises(ValueError):
+            generate_profile(2, noise, trial_rng(1, 0, 0, 0))
     with pytest.raises(ValueError):
         SimConfig((0.5,), (), 10, 1)
     with pytest.raises(ValueError):
@@ -135,3 +143,24 @@ def test_experiment_seed_sensitivity():
     assert any(
         a.p_necpr != b.p_necpr or a.p_nddpr != b.p_nddpr for a, b in zip(base, other)
     )
+
+
+def test_nddpr_certificate_is_checked_on_every_trial(monkeypatch):
+    # A trial whose two rankings have distinct best items: a no that blames
+    # a shared best item is false and must stop the trial.
+    _, instance = generate_profile(3, 1.0, trial_rng(5, 0, 0, 0))
+    assert len({r.best for r in instance.rankings}) == 2
+    monkeypatch.setattr(
+        simulate, "nddpr_exists", lambda _: ExistenceReport(False, Reason.SHARED_BEST_ITEM)
+    )
+    with pytest.raises(AssertionError, match="nddpr certificate"):
+        run_trial(3, 1.0, trial_rng(5, 0, 0, 0))
+
+
+def test_two_agent_trials_never_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a two-agent trial called exists_allocation")
+
+    monkeypatch.setattr(simulate, "exists_allocation", no_search)
+    cells = run_experiment(small_config(trials=20))
+    assert len(cells) == 4
