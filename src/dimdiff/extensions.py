@@ -12,7 +12,13 @@ multi-bundles:
 * ``NBIN`` / ``PBIN`` - the same, restricted to the M binary threshold
   utilities.
 
-Every checker is exact and runs in O(M) time after sorting bundle levels.
+Each relation is defined once, as a function of the two bundles' levels
+listed best-first with multiplicity and of M (:func:`relation_holds`);
+:func:`holds` is the one adapter from multi-bundles, and
+:func:`share_holds` the proportionality test of one bundle against the
+full item set.  NID and PID are NDD and PDD on mirrored levels
+``M + 1 - level`` with the roles of x and y swapped.  Every checker is exact
+and runs in O(M) time after sorting bundle levels.
 A failed NEC, NDD or NID comparison comes with one deterministic refuting
 utility.  For NEC and NDD, when x has fewer items than y, it is the
 cardinality offset ``M*|y| + level``.  Otherwise NDD uses the first failing
@@ -28,7 +34,8 @@ from __future__ import annotations
 import random
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from .core import MultiBundle, Ranking, UtilityFunction, binary_threshold_utility
 
@@ -54,20 +61,41 @@ CHORES_RELATIONS = frozenset({RelationKind.NID, RelationKind.PID})
 
 
 def holds(kind: RelationKind, x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
-    """Exact truth value of ``x (weakly better than) y`` under the relation."""
-    checker = _CHECKERS[kind]
-    return checker(x, y, ranking)
+    """Exact truth value of ``x (weakly better than) y`` under the relation.
+
+    The one adapter from multi-bundles to the relation layer below.
+    """
+    return _RELATIONS[kind](x.levels(ranking), y.levels(ranking), ranking.item_count)
 
 
 # ---------------------------------------------------------------------------
-# Individual relations
+# The relation layer: each relation over best-first level sequences
 # ---------------------------------------------------------------------------
 
-def _ndd(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
+Levels = Sequence[int]
+
+
+def relation_holds(kind: RelationKind, lx: Levels, ly: Levels, m: int) -> bool:
+    """``x (weakly better than) y`` from the best-first levels of x and y."""
+    return _RELATIONS[kind](lx, ly, m)
+
+
+@lru_cache(maxsize=None)
+def _full_levels(m: int) -> tuple[int, ...]:
+    """The levels of the full item set, best-first: M, M-1, ..., 1."""
+    return tuple(range(m, 0, -1))
+
+
+def share_holds(kind: RelationKind, levels: Levels, copies: int, m: int) -> bool:
+    """Does a bundle with these best-first levels, copied ``copies`` times,
+    relate to the full item set?  The proportionality test of one bundle."""
+    scaled = [level for level in levels for _ in range(copies)]
+    return _RELATIONS[kind](scaled, _full_levels(m), m)
+
+
+def _ndd(lx: Levels, ly: Levels, m: int) -> bool:
     # x is at least as large, and every top-k prefix level of x weakly
     # dominates y's.  Checked by accumulating the running level difference.
-    lx = x.levels(ranking)
-    ly = y.levels(ranking)
     if len(lx) < len(ly):
         return False
     total_diff = 0
@@ -78,13 +106,11 @@ def _ndd(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
     return True
 
 
-def _pdd(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
+def _pdd(lx: Levels, ly: Levels, m: int) -> bool:
     # Holds when x is strictly larger, or some top-k prefix of x strictly
     # beats y's, or x's total level weakly dominates.  The total-level
     # condition is weak on purpose: at the boundary every diminishing-
     # differences utility can tie.
-    lx = x.levels(ranking)
-    ly = y.levels(ranking)
     if len(lx) > len(ly):
         return True
     total_diff = 0
@@ -95,17 +121,15 @@ def _pdd(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
     return sum(lx) >= sum(ly)
 
 
-def _nec(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
+def _nec(lx: Levels, ly: Levels, m: int) -> bool:
     # Responsive dominance: x is at least as large, and for every k the k-th
     # best item of x is ranked weakly above the k-th best item of y.
-    lx = x.levels(ranking)
-    ly = y.levels(ranking)
     if len(lx) < len(ly):
         return False
     return all(level_x >= level_y for level_x, level_y in zip(lx, ly))
 
 
-def _strictly_count_dominates(y: MultiBundle, x: MultiBundle, ranking: Ranking) -> bool:
+def _strictly_count_dominates(ly: Levels, lx: Levels, m: int) -> bool:
     """True iff y beats x by a strict margin at every count threshold.
 
     Exactly then does every utility consistent with the ranking (and every
@@ -113,37 +137,39 @@ def _strictly_count_dominates(y: MultiBundle, x: MultiBundle, ranking: Ranking) 
     strictly more items, y's best item has the top level, and y's (k+1)-th
     best item is ranked weakly above x's k-th best for every k.
     """
-    lx = x.levels(ranking)
-    ly = y.levels(ranking)
     if len(ly) < len(lx) + 1:
         return False
-    if ly[0] != ranking.item_count:
+    if ly[0] != m:
         return False
     return all(ly[k + 1] >= lx[k] for k in range(len(lx)))
 
 
-def _pos(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
+def _pos(lx: Levels, ly: Levels, m: int) -> bool:
     # Dual of the necessary relation: x is possibly as good as y unless y
     # strictly dominates x for the whole consistent-utility class.
-    return not _strictly_count_dominates(y, x, ranking)
+    return not _strictly_count_dominates(ly, lx, m)
 
 
-def _nid(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
+def _mirrored(levels: Levels, m: int) -> list[int]:
+    """The same items' levels under the reversed ranking, best-first."""
+    return [m + 1 - level for level in reversed(levels)]
+
+
+def _nid(lx: Levels, ly: Levels, m: int) -> bool:
     # Increasing differences mirror diminishing differences under the
     # inverse ranking, with the bundle roles swapped.
-    return _ndd(y, x, ranking.reversed())
+    return _ndd(_mirrored(ly, m), _mirrored(lx, m), m)
 
 
-def _pid(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
-    return _pdd(y, x, ranking.reversed())
+def _pid(lx: Levels, ly: Levels, m: int) -> bool:
+    return _pdd(_mirrored(ly, m), _mirrored(lx, m), m)
 
 
-def threshold_counts(bundle: MultiBundle, ranking: Ranking) -> list[int]:
-    """``result[k-1]`` = number of items (with multiplicity) of level >= k."""
-    m = ranking.item_count
+def threshold_counts(levels: Levels, m: int) -> list[int]:
+    """``result[k-1]`` = number of levels >= k, for k = 1..M."""
     histogram = [0] * (m + 2)
-    for item, count in bundle.counts:
-        histogram[ranking.level(item)] += count
+    for level in levels:
+        histogram[level] += 1
     suffix = [0] * (m + 1)
     running = 0
     for level in range(m, 0, -1):
@@ -152,19 +178,19 @@ def threshold_counts(bundle: MultiBundle, ranking: Ranking) -> list[int]:
     return suffix[1:]
 
 
-def _nbin(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
-    cx = threshold_counts(x, ranking)
-    cy = threshold_counts(y, ranking)
+def _nbin(lx: Levels, ly: Levels, m: int) -> bool:
+    cx = threshold_counts(lx, m)
+    cy = threshold_counts(ly, m)
     return all(a >= b for a, b in zip(cx, cy))
 
 
-def _pbin(x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:
-    cx = threshold_counts(x, ranking)
-    cy = threshold_counts(y, ranking)
+def _pbin(lx: Levels, ly: Levels, m: int) -> bool:
+    cx = threshold_counts(lx, m)
+    cy = threshold_counts(ly, m)
     return any(a >= b for a, b in zip(cx, cy))
 
 
-_CHECKERS = {
+_RELATIONS = {
     RelationKind.NEC: _nec,
     RelationKind.POS: _pos,
     RelationKind.NDD: _ndd,

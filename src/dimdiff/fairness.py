@@ -31,6 +31,7 @@ from .extensions import (
     RelationKind,
     holds,
     refuting_utility,
+    share_holds,
 )
 
 #: The default state budget of every search: the Pareto dominance search
@@ -153,14 +154,15 @@ def check_proportional(
         return FairnessVerdict(Criterion.PROPORTIONALITY, None, True)
 
     _require_kind_match(extension, instance)
-    everything = instance.full_bundle()
+    m = instance.item_count
     for agent in range(n):
-        scaled = alloc.bundle(agent).scaled(n)
-        if not holds(extension, scaled, everything, instance.rankings[agent]):
+        ranking = instance.rankings[agent]
+        levels = sorted(map(ranking.level, alloc.bundles[agent]), reverse=True)
+        if not share_holds(extension, levels, n, m):
             witness = None
             if extension in REFUTABLE_RELATIONS:
                 witness = refuting_utility(
-                    extension, scaled, everything, instance.rankings[agent]
+                    extension, alloc.bundle(agent).scaled(n), instance.full_bundle(), ranking
                 )
             return FairnessVerdict(
                 Criterion.PROPORTIONALITY, extension, False,

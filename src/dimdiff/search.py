@@ -6,8 +6,32 @@ and every positive answer returns the lexicographically first witness so runs
 are reproducible.
 
 The generic existence search is a depth-first search over partial
-assignments.  For goals that force equal bundle sizes it tests each bundle
-as soon as it is complete and cuts every subtree below a bundle that fails.
+assignments.  It reads each agent's item levels once and tests a held item
+set through the relation layer of :mod:`dimdiff.extensions` on best-first
+level lists (``share_holds`` for an agent's own bundle, ``relation_holds``
+for envy), so no multi-bundle is built per test.
+
+For goals that force equal bundle sizes (NEC, NDD, NID, NBIN) it cuts a
+subtree in two cases, after each placement of an item:
+
+* a bundle just completed fails: its own test, or for envy-freeness the
+  envy test in either direction against another complete bundle;
+* some agent that still has room fails its own test even on its
+  *optimistic completion*: the items it holds plus its best remaining
+  items, as many as it has room for.
+
+The second cut is exact.  Each of these relations is monotone: replacing
+an item of a bundle by one its agent ranks better never turns the own test
+from true to false (for chores under NID, a better-ranked chore is a
+lighter one).  Any completion of the agent's bundle takes some set S of
+the remaining items; every item of the best set B that S lacks is ranked
+above every item of S that B lacks, so S turns into B by such swaps, and
+if the agent rejects its held items plus B it rejects them plus S.
+Envy-freeness under NEC or NDD implies the own test (sum any utility of
+the class over the n bundles), so the cut is exact for both criteria.
+Own-test verdicts are memoized by (agent, held items, next item); the test
+of a complete bundle is the optimistic completion with no room left.
+
 A cut subtree holds no witness, so the search stays exhaustive; it still
 counts every balanced allocation the cut skips, so budgets bound the same
 space as an allocation-by-allocation scan.
@@ -25,7 +49,7 @@ from typing import Iterator, Optional
 from . import _pairsearch
 from .core import Allocation, Instance, ItemKind, MultiBundle, UtilityFunction
 from .exceptions import BudgetExceededError, UnsupportedExtensionError
-from .extensions import RelationKind, holds
+from .extensions import RelationKind, holds, relation_holds, share_holds
 from .fairness import DEFAULT_MAX_STATES, Criterion, _require_kind_match
 
 #: Extensions whose proportionality / envy-freeness force equal bundle sizes
@@ -194,15 +218,20 @@ def exists_allocation(
     nec / ndd / pdd / pos goes to the vectorized split kernels; every other
     goal goes to a depth-first search that assigns items in identifier order
     and tries agents in index order, the order of :func:`enumerate_allocations`.
-    With equal sizes it tests a bundle once it is complete (proportionality,
-    and for envy-freeness also both directions against every other complete
-    bundle) and cuts the subtree when the test fails; other goals are tested
-    at the leaves.  ``max_states`` counts allocations in that order, a cut
-    subtree counting as all the allocations it holds, so the budget is
-    exceeded for exactly the inputs where a scan of one allocation at a time
-    would exceed it.  The time limit is read each time the count passes a
-    multiple of 1024.  Budget exhaustion raises; it never returns a silent
-    default.
+    With equal sizes it cuts a subtree after a placement when a bundle just
+    completed fails its test (proportionality, and for envy-freeness also
+    both directions against every other complete bundle), or when an agent
+    with room would fail its own test even with its best remaining items;
+    the relations are monotone in better-ranked items, so no cut subtree
+    holds a witness (see the module docstring).  Other goals are tested at
+    the leaves.  Every test runs on integer level lists through
+    :func:`~dimdiff.extensions.share_holds` and
+    :func:`~dimdiff.extensions.relation_holds`.  ``max_states`` counts
+    allocations in that order, a cut subtree counting as all the
+    allocations it holds, so the budget is exceeded for exactly the inputs
+    where a scan of one allocation at a time would exceed it.  The time
+    limit is read each time the count passes a multiple of 1024.  Budget
+    exhaustion raises; it never returns a silent default.
     """
     budget = budget or SearchBudget()
     _require_kind_match(goal.extension, instance)
@@ -237,35 +266,58 @@ def _first_witness(
     deadline: Optional[float],
 ) -> Optional[Allocation]:
     n, m = instance.agent_count, instance.item_count
+    kind = goal.extension
     equal = goal.forces_equal_sizes
     envy = goal.criterion is Criterion.ENVY_FREENESS  # nec / ndd only: equal sizes
     capacity = [m // n if equal else m] * n
+    # level[agent][item]: the item's level under the agent's ranking.
+    level = [[ranking.level(item) for item in range(m)] for ranking in instance.rankings]
+    # best_from[agent][d]: the agent's levels of items d..M-1, best-first.
+    best_from = [[sorted(row[d:], reverse=True) for d in range(m + 1)] for row in level]
     held: list[list[int]] = [[] for _ in range(n)]
-    complete: list[Optional[MultiBundle]] = [None] * n
-    # (agent, items) -> the bundle if it passes the agent's own test, else None.
-    verdicts: dict[tuple[int, tuple[int, ...]], Optional[MultiBundle]] = {}
+    masks = [0] * n  # the items each agent holds, as a bit mask
+    complete = [False] * n
+    verdicts: dict[tuple[int, int, int], bool] = {}  # memo of accepts()
     states = 0
 
-    def own(agent: int) -> Optional[MultiBundle]:
-        key = (agent, tuple(held[agent]))
-        if key not in verdicts:
-            bundle = MultiBundle.from_items(held[agent])
-            verdicts[key] = bundle if goal.agent_accepts(instance, agent, bundle) else None
-        return verdicts[key]
+    def levels_of(viewer: int, items: list[int]) -> list[int]:
+        return sorted([level[viewer][item] for item in items], reverse=True)
+
+    def accepts(agent: int, following: int) -> bool:
+        """Does the agent's own test pass on the items it holds plus its
+        best items from ``following`` on, as many as it has room for?  From
+        ``following = M`` on this is the test of the held items alone."""
+        key = (agent, masks[agent], following)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            best = levels_of(agent, held[agent]) + best_from[agent][following][: capacity[agent]]
+            best.sort(reverse=True)
+            verdict = verdicts[key] = share_holds(kind, best, n, m)
+        return verdict
+
+    def prefers(viewer: int, mine: int, theirs: int) -> bool:
+        return relation_holds(
+            kind, levels_of(viewer, held[mine]), levels_of(viewer, held[theirs]), m
+        )
 
     def completes(agent: int) -> bool:
-        bundle = own(agent)
-        if bundle is None:
+        if not accepts(agent, m):
             return False
         if envy and not all(
-            goal.pair_accepts(instance, agent, bundle, other)
-            and goal.pair_accepts(instance, peer, other, bundle)
-            for peer, other in enumerate(complete)
-            if other is not None
+            prefers(agent, agent, peer) and prefers(peer, peer, agent)
+            for peer in range(n)
+            if complete[peer]
         ):
             return False
-        complete[agent] = bundle
+        complete[agent] = True
         return True
+
+    def viable(agent: int, item: int) -> bool:
+        """No cut below this placement: a completed bundle passes, and every
+        agent with room can still pass with its best remaining items."""
+        if not capacity[agent] and not completes(agent):
+            return False
+        return all(accepts(other, item + 1) for other in range(n) if capacity[other])
 
     def count(leaves: int) -> None:
         nonlocal states
@@ -287,7 +339,7 @@ def _first_witness(
     def place(item: int) -> Optional[Allocation]:
         if item == m:
             count(1)
-            if equal or all(own(agent) is not None for agent in range(n)):
+            if equal or all(accepts(agent, m) for agent in range(n)):
                 return Allocation.from_lists(held)
             return None
         for agent in range(n):
@@ -295,12 +347,14 @@ def _first_witness(
                 continue
             capacity[agent] -= 1
             held[agent].append(item)
+            masks[agent] |= 1 << item
             found = None
-            if equal and not capacity[agent] and not completes(agent):
+            if equal and not viable(agent, item):
                 count(_balanced_completions(capacity))
             else:
                 found = place(item + 1)
-            complete[agent] = None
+            complete[agent] = False
+            masks[agent] ^= 1 << item
             held[agent].pop()
             capacity[agent] += 1
             if found is not None:

@@ -69,7 +69,7 @@ def test_reflexivity(kind, eight_items):
 
 
 def test_threshold_counts(eight_items):
-    counts = threshold_counts(by_levels(8, 4, 2).scaled(2), eight_items)
+    counts = threshold_counts(by_levels(8, 4, 2).scaled(2).levels(eight_items), 8)
     assert counts == [6, 6, 4, 4, 2, 2, 2, 2]
 
 

@@ -7,11 +7,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimdiff import _pairsearch
-from dimdiff.core import Allocation, Instance, ItemKind, Ranking
+from dimdiff.core import Allocation, Instance, ItemKind, MultiBundle, Ranking
 from dimdiff.exceptions import BudgetExceededError, UnsupportedExtensionError
-from dimdiff.extensions import RelationKind, holds
+from dimdiff.extensions import RelationKind, holds, relation_holds, share_holds
 from dimdiff.fairness import Criterion, check_envy_free, check_proportional
 from dimdiff.search import (
     _FAST_PR_RELATIONS,
@@ -206,6 +207,105 @@ def test_generic_search_honours_its_time_limit():
         with pytest.raises(BudgetExceededError, match="states"):
             exists_allocation(nine, goal, SearchBudget(max_states=1023, time_limit=0))
         assert exists_allocation(six, goal, SearchBudget(time_limit=0)) is None
+
+
+# Twelve goods for three agents; the first two share their best item, 7, so
+# no allocation gives both of them their best item.
+_SHARED_BEST = goods(
+    (7, 4, 8, 5, 2, 3, 0, 11, 6, 1, 10, 9),
+    (7, 8, 0, 9, 2, 11, 1, 6, 5, 10, 4, 3),
+    (8, 10, 5, 6, 1, 0, 11, 4, 7, 9, 3, 2),
+)
+# Twelve chores for three agents who all find chore 7 the worst.
+_SHARED_WORST = chores(
+    (1, 10, 6, 2, 5, 4, 9, 11, 0, 8, 3, 7),
+    (6, 9, 11, 8, 4, 3, 10, 0, 2, 5, 1, 7),
+    (10, 4, 5, 9, 6, 8, 2, 0, 11, 1, 3, 7),
+)
+
+
+@pytest.mark.parametrize("inst, goal", [
+    (_SHARED_BEST, AllocationGoal(PR, RelationKind.NEC)),
+    (_SHARED_BEST, AllocationGoal(PR, RelationKind.NDD)),
+    (_SHARED_BEST, AllocationGoal(EF, RelationKind.NEC)),
+    (_SHARED_BEST, AllocationGoal(EF, RelationKind.NDD)),
+    (_SHARED_BEST, AllocationGoal(PR, RelationKind.NBIN)),
+    (_SHARED_WORST, AllocationGoal(PR, RelationKind.NID)),
+], ids=["pr-nec", "pr-ndd", "ef-nec", "ef-ndd", "pr-nbin", "pr-nid"])
+def test_cut_subtrees_count_every_allocation_they_hold(inst, goal):
+    # No allocation qualifies, so a scan of one allocation at a time ends at
+    # the last of the 34,650 balanced allocations.  The search cuts almost
+    # all of them, and must still count each one: a budget one short of
+    # the total is exceeded, the total itself is not.
+    total = count_allocations(inst, equal_sizes=True)
+    assert total == 34_650
+    assert exists_allocation(inst, goal) is None
+    with pytest.raises(BudgetExceededError, match="states"):
+        exists_allocation(inst, goal, SearchBudget(max_states=total - 1))
+    assert exists_allocation(inst, goal, SearchBudget(max_states=total)) is None
+
+
+_EQUAL_SIZE_GOALS = (
+    (ItemKind.GOODS, AllocationGoal(PR, RelationKind.NEC)),
+    (ItemKind.GOODS, AllocationGoal(PR, RelationKind.NDD)),
+    (ItemKind.GOODS, AllocationGoal(PR, RelationKind.NBIN)),
+    (ItemKind.CHORES, AllocationGoal(PR, RelationKind.NID)),
+)
+
+
+def best_first(items, ranking):
+    return sorted((ranking.level(item) for item in items), reverse=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_level_tests_agree_with_the_goal(data):
+    # The search tests item sets through share_holds and relation_holds on
+    # best-first levels; AllocationGoal tests multi-bundles through holds.
+    m = data.draw(st.integers(1, 9))
+    n = data.draw(st.integers(1, 4))
+    kind, goal = data.draw(st.sampled_from(_EQUAL_SIZE_GOALS))
+    orders = data.draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n))
+    inst = Instance(kind, tuple(Ranking(tuple(o)) for o in orders))
+    agent = data.draw(st.integers(0, n - 1))
+    items = data.draw(st.sets(st.integers(0, m - 1)))
+    others = data.draw(st.sets(st.integers(0, m - 1)))
+    ranking = inst.rankings[agent]
+    own, other = MultiBundle.from_items(items), MultiBundle.from_items(others)
+    assert share_holds(goal.extension, best_first(items, ranking), n, m) == (
+        goal.agent_accepts(inst, agent, own)
+    )
+    if kind is ItemKind.GOODS:
+        assert relation_holds(
+            goal.extension, best_first(items, ranking), best_first(others, ranking), m
+        ) == goal.pair_accepts(inst, agent, own, other)
+
+
+@pytest.mark.parametrize("kind, goal", _EQUAL_SIZE_GOALS, ids=["nec", "ndd", "nbin", "nid"])
+def test_own_test_is_monotone_in_better_ranked_items(kind, goal):
+    # The premise of the search's cut: swapping an item of a bundle for a
+    # better-ranked one never makes an accepted bundle fail.  Checked for
+    # every bundle and every such swap, up to 7 items and 4 agents.
+    rng = random.Random(11)
+    accepted = 0
+    for m in range(1, 8):
+        for n in range(1, 5):
+            inst = Instance(kind, (Ranking(tuple(rng.sample(range(m), m))),) * n)
+            ranking = inst.rankings[0]
+            for size in range(m + 1):
+                for items in itertools.combinations(range(m), size):
+                    if not goal.agent_accepts(inst, 0, MultiBundle.from_items(items)):
+                        continue
+                    accepted += 1
+                    for worse in items:
+                        for better in set(range(m)) - set(items):
+                            if ranking.level(better) < ranking.level(worse):
+                                continue
+                            swapped = set(items) - {worse} | {better}
+                            assert goal.agent_accepts(
+                                inst, 0, MultiBundle.from_items(swapped)
+                            ), (ranking.order, n, items, worse, better)
+    assert accepted > 100
 
 
 def test_goal_validation():
