@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -335,10 +336,31 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_HOLDS
 
 
+def _budget(text: str) -> int:
+    """``--budget`` / ``DIMDIFF_BUDGET``: a non-negative state count."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # DIMDIFF_BUDGET overrides the default search/Pareto state budget; argparse
-    # converts it like an explicit --budget, so a malformed value exits 2.
-    budget = os.environ.get("DIMDIFF_BUDGET", str(DEFAULT_MAX_STATES))
+    """The ``dimdiff`` parser, built once per ``DIMDIFF_BUDGET`` value.
+
+    DIMDIFF_BUDGET overrides the default search/Pareto state budget; argparse
+    converts it like an explicit --budget when it parses, so a malformed or
+    negative value exits 2.  Parsing never changes the parser and gives a fresh
+    Namespace each time, so one parser serves every call in a process; callers
+    share it and must not change it.
+    """
+    return _parser(os.environ.get("DIMDIFF_BUDGET", str(DEFAULT_MAX_STATES)))
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(budget: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimdiff",
         description="Ordinal fair division under diminishing / increasing differences.",
@@ -363,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--extension", required=True, choices=[k.value for k in RelationKind]
     )
-    check.add_argument("--budget", type=int, default=budget)
+    check.add_argument("--budget", type=_budget, default=budget)
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=_cmd_check)
 
@@ -373,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--method", default="search", choices=["condition", "protocol", "search"]
     )
-    solve.add_argument("--budget", type=int, default=budget)
+    solve.add_argument("--budget", type=_budget, default=budget)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import dimdiff
+from dimdiff import cli
 from dimdiff.cli import main
 from dimdiff.profiles import (
     allocation_from_json,
@@ -379,6 +380,58 @@ def test_malformed_budget_env_var_is_a_usage_error(profile_path, capsys, monkeyp
     assert done.returncode == 2
     assert "invalid int value: 'abc'" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--goal", "necpr"],
+    ["check", "--allocation", '{"alice": ["4", "1"], "bob": ["2", "3"]}',
+     "--criterion", "pe", "--extension", "nec"],
+])
+def test_negative_budget_is_a_usage_error(profile_path, capsys, monkeypatch, command):
+    argv = command + ["--profile", profile_path(OPPOSITE)]
+    monkeypatch.delenv("DIMDIFF_BUDGET", raising=False)
+    assert main(argv + ["--budget", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "non-negative" in err and "Traceback" not in err
+    monkeypatch.setenv("DIMDIFF_BUDGET", "-1")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "non-negative" in err and "Traceback" not in err
+    # A zero budget is allowed: nothing may be scanned, so the answer is undecided.
+    assert main(argv + ["--budget", "0"]) == 3
+
+
+# --- one parser per process ---------------------------------------------------
+
+def test_parser_is_built_once(monkeypatch):
+    monkeypatch.delenv("DIMDIFF_BUDGET", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_budget_follows_the_environment(profile_path, capsys, monkeypatch):
+    argv = ["solve", "--profile", profile_path(OPPOSITE), "--goal", "necpr"]
+    monkeypatch.delenv("DIMDIFF_BUDGET", raising=False)
+    assert main(argv) == 1
+    monkeypatch.setenv("DIMDIFF_BUDGET", "2")
+    assert main(argv) == 3
+    monkeypatch.delenv("DIMDIFF_BUDGET")
+    assert main(argv) == 1
+
+
+def test_no_state_leaks_between_calls(profile_path, capsys):
+    argv = ["solve", "--profile", profile_path(OPPOSITE), "--goal", "necpr"]
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["method"] == "search"
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "necpr: does not exist (exhaustive search)\n"
+    assert main(argv + ["--method", "nonsense"]) == 2
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "exhaustive search" in capsys.readouterr().out
+    assert main(argv + ["--method", "protocol"]) == 1
+    assert "hall_violation" in capsys.readouterr().out
+    assert main(argv) == 1
+    assert "exhaustive search" in capsys.readouterr().out
 
 
 # --- reduce / simulate ----------------------------------------------------------
