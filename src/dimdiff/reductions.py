@@ -349,9 +349,11 @@ def nddef_search_reduced(reduced: ReducedInstance) -> Optional[Allocation]:
     a holding i are one lookup in a's table (a tolerates b) ANDed with one
     in b's table (b tolerates a), with i cleared.  Each assignment narrows
     every open domain by that set; the branch fails as soon as one is
-    empty.  The search branches on agents, never on triples: next is the
-    open agent with the smallest domain (lowest index on ties), trying its
-    items in ascending order.
+    empty, or as soon as some free item still untaken lies in no open
+    domain (agents and free items are in bijection, so every such item
+    must go to an open agent).  The search branches on agents, never on
+    triples: next is the open agent with the smallest domain (lowest index
+    on ties), trying its items in ascending order.
     """
     instance = reduced.instance
     agents = instance.agent_count
@@ -382,7 +384,7 @@ def nddef_search_reduced(reduced: ReducedInstance) -> Optional[Allocation]:
     slack = [[m - lev for lev in row] for row in top_level]
     second = [0] * agents
 
-    def extend(open_domains: list[tuple[int, int]], pick: int) -> bool:
+    def extend(open_domains: list[tuple[int, int]], pick: int, left: int) -> bool:
         if not open_domains:
             return True
         agent, domain = open_domains[pick]
@@ -394,7 +396,7 @@ def nddef_search_reduced(reduced: ReducedInstance) -> Optional[Allocation]:
             k = low.bit_length() - 1
             held = own[k]
             narrowed = []
-            smallest, next_pick = agents + 1, 0
+            smallest, next_pick, union = agents + 1, 0, 0
             for other, dom in rest:
                 dom &= (
                     tolerated[held + lets[other]]
@@ -404,16 +406,19 @@ def nddef_search_reduced(reduced: ReducedInstance) -> Optional[Allocation]:
                 size = dom.bit_count()
                 if not size:
                     break
+                union |= dom
                 if size < smallest:
                     smallest, next_pick = size, len(narrowed)
                 narrowed.append((other, dom))
             else:
+                if union != left ^ low:
+                    continue
                 second[agent] = k
-                if extend(narrowed, next_pick):
+                if extend(narrowed, next_pick, left ^ low):
                     return True
         return False
 
-    if not extend([(a, full) for a in range(agents)], 0):
+    if not extend([(a, full) for a in range(agents)], 0, full):
         return None
     return Allocation.from_lists(
         [(top_dummy[a], free_items[second[a]]) for a in range(agents)]

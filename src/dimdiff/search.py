@@ -32,6 +32,18 @@ the class over the n bundles), so the cut is exact for both criteria.
 Own-test verdicts are memoized by (agent, held items, next item); the test
 of a complete bundle is the optimistic completion with no room left.
 
+Before the first placement the same argument settles, once per agent, the
+items the agent cannot do without.  An agent *needs* item i when its own
+test fails on its best M/n items drawn from all items but i.  Every bundle
+of M/n items without i turns into that best set by swaps to better-ranked
+items, so by monotonicity the agent rejects every bundle that lacks i, and
+every accepted allocation, under either criterion, gives it i.  Only the
+agent's top M/n items can be needed: without any other item its best M/n
+are its top M/n.  If two agents need the same item, no allocation is
+accepted: the search counts every balanced allocation and returns None.
+Otherwise a needed item is placed only with the agent that needs it, and
+the subtree of each other agent is counted without being searched.
+
 A cut subtree holds no witness, so the search stays exhaustive; it still
 counts every balanced allocation the cut skips, so budgets bound the same
 space as an allocation-by-allocation scan.
@@ -44,6 +56,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import _pairsearch
@@ -223,8 +236,14 @@ def exists_allocation(
     both directions against every other complete bundle), or when an agent
     with room would fail its own test even with its best remaining items;
     the relations are monotone in better-ranked items, so no cut subtree
-    holds a witness (see the module docstring).  Other goals are tested at
-    the leaves.  Every test runs on integer level lists through
+    holds a witness (see the module docstring).  Before the first
+    placement it pins to each agent the items whose absence alone makes
+    the agent's own test fail (the test fails on its best M/n items drawn
+    from all the others): monotonicity puts them in the agent's bundle in
+    every qualifying allocation, so such an item is placed only with its
+    agent, and two agents that need the same item answer None at once,
+    with every balanced allocation counted.  Other goals are tested at the
+    leaves.  Every test runs on integer level lists through
     :func:`~dimdiff.extensions.share_holds` and
     :func:`~dimdiff.extensions.relation_holds`.  ``max_states`` counts
     allocations in that order, a cut subtree counting as all the
@@ -259,6 +278,36 @@ def _balanced_completions(capacity: list[int]) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _needed_ranks(kind: RelationKind, n: int, m: int) -> tuple[int, ...]:
+    """The positions in an agent's ranking whose item its own test cannot do
+    without: the test fails on its best M/n items drawn from all the others.
+    Every ranking gives the levels M..1, so they are the same for every
+    agent, and they lie in its top M/n."""
+    share = m // n
+    full = list(range(m, 0, -1))
+    return tuple(
+        rank
+        for rank in range(share)
+        if not share_holds(kind, full[:rank] + full[rank + 1 : share + 1], n, m)
+    )
+
+
+def _owners(instance: Instance, kind: RelationKind) -> Optional[list[int]]:
+    """The root rule of the equal-size search: ``owner[item]`` is the agent
+    that every accepted allocation gives the item to, or -1 where no agent
+    alone needs it; None when two agents need the same item, so that no
+    allocation is accepted (see the module docstring)."""
+    owner = [-1] * instance.item_count
+    for agent, ranking in enumerate(instance.rankings):
+        for rank in _needed_ranks(kind, instance.agent_count, instance.item_count):
+            item = ranking.order[rank]
+            if owner[item] >= 0:
+                return None
+            owner[item] = agent
+    return owner
+
+
 def _first_witness(
     instance: Instance,
     goal: AllocationGoal,
@@ -270,6 +319,29 @@ def _first_witness(
     equal = goal.forces_equal_sizes
     envy = goal.criterion is Criterion.ENVY_FREENESS  # nec / ndd only: equal sizes
     capacity = [m // n if equal else m] * n
+    states = 0
+
+    def count(leaves: int) -> None:
+        nonlocal states
+        before, states = states, states + leaves
+        # The first multiple of 1024 in (before, states], where a scan of one
+        # allocation at a time would have read the clock.
+        mark = (before // 1024 + 1) * 1024
+        if (
+            deadline is not None
+            and mark <= min(states, budget.max_states)
+            and time.monotonic() > deadline
+        ):
+            raise BudgetExceededError("search exceeded its time limit")
+        if states > budget.max_states:
+            raise BudgetExceededError(
+                f"search exceeded its budget of {budget.max_states} states"
+            )
+
+    owner = _owners(instance, kind) if equal else []
+    if owner is None:
+        count(_balanced_completions(capacity))
+        return None
     # level[agent][item]: the item's level under the agent's ranking.
     level = [[ranking.level(item) for item in range(m)] for ranking in instance.rankings]
     # best_from[agent][d]: the agent's levels of items d..M-1, best-first.
@@ -278,7 +350,6 @@ def _first_witness(
     masks = [0] * n  # the items each agent holds, as a bit mask
     complete = [False] * n
     verdicts: dict[tuple[int, int, int], bool] = {}  # memo of accepts()
-    states = 0
 
     def levels_of(viewer: int, items: list[int]) -> list[int]:
         return sorted([level[viewer][item] for item in items], reverse=True)
@@ -319,23 +390,6 @@ def _first_witness(
             return False
         return all(accepts(other, item + 1) for other in range(n) if capacity[other])
 
-    def count(leaves: int) -> None:
-        nonlocal states
-        before, states = states, states + leaves
-        # The first multiple of 1024 in (before, states], where a scan of one
-        # allocation at a time would have read the clock.
-        mark = (before // 1024 + 1) * 1024
-        if (
-            deadline is not None
-            and mark <= min(states, budget.max_states)
-            and time.monotonic() > deadline
-        ):
-            raise BudgetExceededError("search exceeded its time limit")
-        if states > budget.max_states:
-            raise BudgetExceededError(
-                f"search exceeded its budget of {budget.max_states} states"
-            )
-
     def place(item: int) -> Optional[Allocation]:
         if item == m:
             count(1)
@@ -349,7 +403,7 @@ def _first_witness(
             held[agent].append(item)
             masks[agent] |= 1 << item
             found = None
-            if equal and not viable(agent, item):
+            if equal and not (owner[item] in (-1, agent) and viable(agent, item)):
                 count(_balanced_completions(capacity))
             else:
                 found = place(item + 1)

@@ -19,6 +19,7 @@ from dimdiff.search import (
     AllocationGoal,
     SearchBudget,
     _assignments,
+    _owners,
     _to_allocation,
     count_allocations,
     enumerate_allocations,
@@ -306,6 +307,90 @@ def test_own_test_is_monotone_in_better_ranked_items(kind, goal):
                                 inst, 0, MultiBundle.from_items(swapped)
                             ), (ranking.order, n, items, worse, better)
     assert accepted > 100
+
+
+# Every equal-size goal, with the item kind it applies to.
+_ROOT_RULE_GOALS = _EQUAL_SIZE_GOALS + (
+    (ItemKind.GOODS, AllocationGoal(EF, RelationKind.NEC)),
+    (ItemKind.GOODS, AllocationGoal(EF, RelationKind.NDD)),
+)
+
+
+def shared_extreme(rng, kind, agents, items, shared):
+    """Random rankings.  With ``shared`` the first two agents share their
+    best good or their worst chore; without it, all best goods differ."""
+    while True:
+        orders = [rng.sample(range(items), items) for _ in range(agents)]
+        if shared:
+            end = 0 if kind is ItemKind.GOODS else items - 1
+            orders[1].remove(orders[0][end])
+            orders[1].insert(end, orders[0][end])
+        if shared or kind is ItemKind.CHORES or len({o[0] for o in orders}) == agents:
+            return Instance(kind, tuple(Ranking(tuple(o)) for o in orders))
+
+
+def test_root_rule_pins_only_what_every_accepted_allocation_gives():
+    # The search's root rule pins an item to an agent when the agent's own
+    # test fails on its best M/n items drawn from all the others.  Every
+    # accepted allocation must then give the agent that item, a clash of
+    # pins must mean that no allocation is accepted, and for each agent the
+    # pins are exactly the items that every bundle its own test accepts
+    # holds.
+    rng = random.Random(13)
+    clashes = pinned = checked = 0
+    for agents, items in ((3, 3), (3, 6), (3, 9), (4, 4), (4, 8), (5, 5)):
+        share = items // agents
+        for kind, goal in _ROOT_RULE_GOALS:
+            for shared in (False, True):
+                inst = shared_extreme(rng, kind, agents, items, shared)
+                owner = _owners(inst, goal.extension)
+                accepted = [
+                    alloc
+                    for alloc in enumerate_allocations(inst, equal_sizes=True)
+                    if goal.satisfied_by(alloc, inst)
+                ]
+                if owner is None:
+                    clashes += 1
+                    assert not accepted, (inst, goal)
+                    continue
+                checked += len(accepted)
+                for alloc in accepted:
+                    for item, agent in enumerate(owner):
+                        assert agent < 0 or item in alloc.bundles[agent], (inst, goal)
+                for agent in range(agents):
+                    kept = [
+                        set(bundle)
+                        for bundle in itertools.combinations(range(items), share)
+                        if goal.agent_accepts(inst, agent, MultiBundle.from_items(bundle))
+                    ]
+                    pins = {item for item, holder in enumerate(owner) if holder == agent}
+                    assert pins == set.intersection(*kept), (inst, goal, agent)
+                    pinned += len(pins)
+    assert clashes and pinned and checked
+
+
+@pytest.mark.parametrize("agents, items", [(4, 4), (4, 8), (5, 5)])
+def test_pinned_search_matches_reference_scan(agents, items):
+    # Goods whose first two agents share their best item (a clash of pins,
+    # so every balanced allocation is counted at the root), goods with
+    # distinct best items (each pinned to its agent), and chores with and
+    # without a worst chore shared by the first two agents.  The witness is
+    # the reference scan's, and the budget runs out exactly where the
+    # scan's would.
+    rng = random.Random(agents * 100 + items)
+    found = 0
+    for kind, goal in _ROOT_RULE_GOALS:
+        for shared in (True, False):
+            inst = shared_extreme(rng, kind, agents, items, shared)
+            witness, position = generic_scan(inst, goal)
+            result = exists_allocation(inst, goal)
+            assert (result and result.bundles) == (witness and witness.bundles), (inst, goal)
+            found += witness is not None
+            with pytest.raises(BudgetExceededError, match="states"):
+                exists_allocation(inst, goal, SearchBudget(max_states=position - 1))
+            result = exists_allocation(inst, goal, SearchBudget(max_states=position))
+            assert (result and result.bundles) == (witness and witness.bundles)
+    assert found
 
 
 def test_goal_validation():
