@@ -56,7 +56,6 @@ from .protocols import (
 from .reductions import X3CInstance, nddef_search_reduced, reduce_x3c, solve_x3c
 from .search import (
     AllocationGoal,
-    SearchBudget,
     enumerate_allocations,
     exists_allocation,
     pddef_witness_search,
@@ -77,7 +76,6 @@ __all__ = [
     "Ranking",
     "Reason",
     "RelationKind",
-    "SearchBudget",
     "SimConfig",
     "UnsupportedExtensionError",
     "UtilityFunction",

@@ -13,89 +13,48 @@ early-exit loop, :func:`_first_split`.  Its chunks grow geometrically
 (64 masks, then four times as many each step up to ``_CHUNK``), so a
 witness early in the order costs one small chunk, while a full sweep still
 takes few chunks.
+
+The one budget is ``max_states``, the number of positions a kernel may
+scan.  The balanced masks of the equal-split kernel are built once per
+item count and cached (at most 32 tables); a budget below C(M, M/2) builds
+only the masks it may scan and caches nothing, so it bounds the build's
+work and memory as well as the scan.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 import numpy as np
-
-from .exceptions import BudgetExceededError
 
 _FIRST_CHUNK = 64
 _GROWTH = 4
 _CHUNK = 8192
 
 
-class _MaskTables:
-    """All masks with ``size`` bits set among ``item_count``, ascending
-    (Gosper order), cached per shape: at most ``maxsize`` tables, the oldest
-    evicted first.
-
-    The Gosper loop builds one mask at a time in Python, C(M, M/2) of them,
-    so it reads the deadline every ``_CHUNK`` masks.  An expired deadline
-    raises and caches nothing; a cached table is always complete.  A
-    ``limit`` below the table's size builds only the first ``limit`` masks
-    of a table not yet cached, and caches nothing either.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._tables: dict[tuple[int, int], np.ndarray] = {}
-
-    def __call__(
-        self,
-        item_count: int,
-        size: int,
-        deadline: Optional[float] = None,
-        limit: Optional[int] = None,
-    ) -> np.ndarray:
-        key = (item_count, size)
-        if key not in self._tables:
-            total = math.comb(item_count, size)
-            count = total if limit is None else min(limit, total)
-            table = np.array(self._gosper(item_count, size, deadline, count), dtype=np.int64)
-            if count < total:
-                return table
-            table.setflags(write=False)
-            if len(self._tables) >= self.maxsize:
-                del self._tables[next(iter(self._tables))]
-            self._tables[key] = table
-        return self._tables[key]
-
-    @staticmethod
-    def _gosper(
-        item_count: int, size: int, deadline: Optional[float], count: int
-    ) -> list[int]:
-        masks = []
-        mask = (1 << size) - 1
-        while len(masks) < count:
-            masks.append(mask)
-            if (
-                deadline is not None
-                and not len(masks) % _CHUNK
-                and time.monotonic() >= deadline
-            ):
-                raise BudgetExceededError(
-                    f"search exceeded its time limit after building {len(masks)} splits"
-                )
-            # Gosper's hack: next integer with the same popcount.
-            low = mask & -mask
-            ripple = mask + low
-            mask = ripple | (((mask ^ ripple) >> 2) // low)
-            if low == 0:  # pragma: no cover - size == 0 handled by caller
-                break
-        return masks
-
-    def cache_clear(self) -> None:
-        self._tables.clear()
+def _gosper(item_count: int, count: int) -> np.ndarray:
+    """The first ``count`` masks with M/2 of the M bits set, ascending, built
+    one at a time in Python."""
+    masks = []
+    mask = (1 << (item_count // 2)) - 1
+    for _ in range(count):
+        masks.append(mask)
+        # Gosper's hack: next integer with the same popcount.
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | (((mask ^ ripple) >> 2) // low)
+    return np.array(masks, dtype=np.int64)
 
 
-_equal_split_masks = _MaskTables(maxsize=32)
+@lru_cache(maxsize=32)
+def _balanced_masks(item_count: int) -> np.ndarray:
+    """All C(M, M/2) balanced masks, ascending; read-only, since the cache
+    shares one table per M."""
+    table = _gosper(item_count, math.comb(item_count, item_count // 2))
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -178,20 +137,16 @@ def _first_split(
     total: int,
     accept: Callable[[np.ndarray], np.ndarray],
     max_states: Optional[int],
-    deadline: Optional[float],
 ) -> tuple[Optional[int], int]:
     """First mask of positions 0..total-1 that ``accept`` passes.
 
     ``masks_at(start, stop)`` gives the masks at those positions and
     ``accept`` scores a block of masks.  Returns (mask, position + 1), or
     (None, positions scanned) when no mask within ``max_states`` positions
-    passes.  The deadline (a ``time.monotonic`` value) is checked between
-    chunks, so an expired one raises only when a second chunk is needed.
+    passes.
     """
     limit = _scan_limit(total, max_states)
     for start, stop in _chunks(limit):
-        if start and deadline is not None and time.monotonic() >= deadline:
-            raise BudgetExceededError(f"search exceeded its time limit after {start} states")
         masks = masks_at(start, stop)
         hits = np.flatnonzero(accept(masks))
         if hits.size:
@@ -226,7 +181,6 @@ def first_equal_split(
     perm_second: tuple[int, ...],
     relation: str,
     max_states: Optional[int] = None,
-    deadline: Optional[float] = None,
 ) -> tuple[Optional[int], int]:
     """First balanced split satisfying the relation for both agents.
 
@@ -236,9 +190,11 @@ def first_equal_split(
     holds its own best item (the one-item prefix), so only such splits are
     scored, and agents sharing a best item have no qualifying split.
     """
+    total = math.comb(item_count, item_count // 2)
+    limit = _scan_limit(total, max_states)
     if perm_first[0] == perm_second[0]:
-        return None, _scan_limit(math.comb(item_count, item_count // 2), max_states)
-    masks = _equal_split_masks(item_count, item_count // 2, deadline, max_states)
+        return None, limit
+    masks = _gosper(item_count, limit) if limit < total else _balanced_masks(item_count)
     first_bit = 1 << (item_count - 1 - perm_first[0])
     second_bit = 1 << (item_count - 1 - perm_second[0])
     both = _both_agents(_EQUAL_SPLIT_OK[relation], item_count, perm_first, perm_second)
@@ -249,9 +205,7 @@ def first_equal_split(
         ok[kept] = both(chunk[kept])
         return ok
 
-    return _first_split(
-        lambda start, stop: masks[start:stop], len(masks), accept, max_states, deadline
-    )
+    return _first_split(lambda start, stop: masks[start:stop], len(masks), accept, max_states)
 
 
 def first_any_split(
@@ -260,7 +214,6 @@ def first_any_split(
     perm_second: tuple[int, ...],
     relation: str,
     max_states: Optional[int] = None,
-    deadline: Optional[float] = None,
 ) -> tuple[Optional[int], int]:
     """First split of any size satisfying the relation for both agents.
 
@@ -275,7 +228,6 @@ def first_any_split(
         1 << item_count,
         accept,
         max_states,
-        deadline,
     )
 
 

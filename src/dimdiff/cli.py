@@ -58,7 +58,7 @@ from .protocols import (
     pospr_exists,
 )
 from .reductions import reduce_x3c, x3c_from_json
-from .search import AllocationGoal, SearchBudget, exists_allocation
+from .search import AllocationGoal, exists_allocation
 from .simulate import SimConfig, full_grid_config, main_csv
 
 EXIT_HOLDS = 0
@@ -251,7 +251,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     criterion, extension = _GOAL_TABLE[goal]
     witness = exists_allocation(
-        instance, AllocationGoal(criterion, extension), SearchBudget(max_states=args.budget)
+        instance, AllocationGoal(criterion, extension), max_states=args.budget
     )
     payload = {"goal": goal, "method": "search"}
     if witness is None:

@@ -110,15 +110,6 @@ def save_profile(profile: NamedProfile, path: str) -> None:
         handle.write("\n")
 
 
-def default_profile(instance: Instance) -> NamedProfile:
-    """Positional names for instances built in code."""
-    return NamedProfile(
-        instance,
-        tuple(f"item{i}" for i in range(instance.item_count)),
-        tuple(f"agent{a}" for a in range(instance.agent_count)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bundle / allocation syntax
 # ---------------------------------------------------------------------------
@@ -177,7 +168,9 @@ def load_preflib_soc(path: str, kind: ItemKind = ItemKind.GOODS) -> NamedProfile
 
     Metadata lines start with ``#``; each data line is
     ``count: alt,alt,...`` with 1-based alternative numbers, expanded to
-    ``count`` agents sharing the ranking.
+    ``count`` agents sharing the ranking.  Every order must rank as many
+    alternatives as ``# NUMBER ALTERNATIVES`` declares (without that line,
+    the highest number named); a mismatch is a ValueError.
     """
     names: dict[int, str] = {}
     alternative_count = 0
@@ -205,6 +198,11 @@ def load_preflib_soc(path: str, kind: ItemKind = ItemKind.GOODS) -> NamedProfile
         raise ValueError(f"{path} contains no preference lines")
     if not alternative_count:
         alternative_count = max(max(order) for _, order in orders)
+    for _, order in orders:
+        if len(order) != alternative_count:
+            raise ValueError(
+                f"{path}: an order ranks {len(order)} alternatives, not {alternative_count}"
+            )
     item_names = tuple(
         names.get(number, f"alt{number}") for number in range(1, alternative_count + 1)
     )

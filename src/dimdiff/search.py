@@ -45,8 +45,10 @@ Otherwise a needed item is placed only with the agent that needs it, and
 the subtree of each other agent is counted without being searched.
 
 A cut subtree holds no witness, so the search stays exhaustive; it still
-counts every balanced allocation the cut skips, so budgets bound the same
-space as an allocation-by-allocation scan.
+counts every balanced allocation the cut skips, so the budget bounds the
+same space as an allocation-by-allocation scan.  Every search here has one
+budget, ``max_states``, counted in allocations (splits, in the two-agent
+kernels); spending it raises :class:`BudgetExceededError`.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -63,7 +64,7 @@ from . import _pairsearch
 from .core import Allocation, Instance, ItemKind, MultiBundle, UtilityFunction
 from .exceptions import BudgetExceededError, UnsupportedExtensionError
 from .extensions import RelationKind, holds, relation_holds, share_holds
-from .fairness import DEFAULT_MAX_STATES, Criterion, _require_kind_match
+from .fairness import DEFAULT_MAX_STATES, _EF_EXTENSIONS, Criterion, _require_kind_match
 
 #: Extensions whose proportionality / envy-freeness force equal bundle sizes
 #: (their size condition makes unequal allocations infeasible outright).
@@ -80,14 +81,6 @@ _FAST_PR_RELATIONS = {
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    """Explicit resource bounds; exceeding them is an error, never a default."""
-
-    max_states: int = DEFAULT_MAX_STATES
-    time_limit: Optional[float] = None  # seconds
-
-
-@dataclass(frozen=True)
 class AllocationGoal:
     """A fairness predicate over whole allocations, built from relation checks."""
 
@@ -97,10 +90,7 @@ class AllocationGoal:
     def __post_init__(self) -> None:
         if self.criterion is Criterion.PARETO_EFFICIENCY:
             raise UnsupportedExtensionError("pareto efficiency is not a search goal")
-        if self.criterion is Criterion.ENVY_FREENESS and self.extension not in (
-            RelationKind.NEC,
-            RelationKind.NDD,
-        ):
+        if self.criterion is Criterion.ENVY_FREENESS and self.extension not in _EF_EXTENSIONS:
             raise UnsupportedExtensionError(
                 f"envy-freeness search supports nec/ndd only, not {self.extension.value}"
             )
@@ -193,21 +183,18 @@ def count_allocations(instance: Instance, equal_sizes: bool = False) -> int:
 def enumerate_allocations(
     instance: Instance,
     equal_sizes: bool = False,
-    budget: Optional[SearchBudget] = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> Iterator[Allocation]:
     """Every allocation exactly once, in deterministic lexicographic order.
 
     Items are assigned in identifier order and agents in index order.  The
-    total space must fit the budget up front.
+    total space must fit ``max_states`` up front.
     """
-    budget = budget or SearchBudget()
     if equal_sizes and instance.item_count % instance.agent_count:
         return iter(())
     total = count_allocations(instance, equal_sizes)
-    if total > budget.max_states:
-        raise BudgetExceededError(
-            f"{total} allocations exceed the budget of {budget.max_states}"
-        )
+    if total > max_states:
+        raise BudgetExceededError(f"{total} allocations exceed the budget of {max_states}")
     return (
         _to_allocation(a, instance.agent_count)
         for a in _assignments(instance.agent_count, instance.item_count, equal_sizes)
@@ -221,7 +208,7 @@ def enumerate_allocations(
 def exists_allocation(
     instance: Instance,
     goal: AllocationGoal,
-    budget: Optional[SearchBudget] = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> Optional[Allocation]:
     """The lexicographically first allocation satisfying the goal, or None.
 
@@ -248,25 +235,23 @@ def exists_allocation(
     :func:`~dimdiff.extensions.relation_holds`.  ``max_states`` counts
     allocations in that order, a cut subtree counting as all the
     allocations it holds, so the budget is exceeded for exactly the inputs
-    where a scan of one allocation at a time would exceed it.  The time
-    limit is read each time the count passes a multiple of 1024.  Budget
-    exhaustion raises; it never returns a silent default.
+    where a scan of one allocation at a time would exceed it.  It is the
+    search's only budget; spending it raises, never returns a silent
+    default.
     """
-    budget = budget or SearchBudget()
     _require_kind_match(goal.extension, instance)
     n, m = instance.agent_count, instance.item_count
     if goal.forces_equal_sizes and m % n:
         return None
 
-    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     if (
         n == 2
         and instance.kind is ItemKind.GOODS
         and goal.criterion is Criterion.PROPORTIONALITY
         and goal.extension in _FAST_PR_RELATIONS
     ):
-        return _exists_two_agent_pr(instance, goal, budget, deadline)
-    return _first_witness(instance, goal, budget, deadline)
+        return _exists_two_agent_pr(instance, goal, max_states)
+    return _first_witness(instance, goal, max_states)
 
 
 def _balanced_completions(capacity: list[int]) -> int:
@@ -309,10 +294,7 @@ def _owners(instance: Instance, kind: RelationKind) -> Optional[list[int]]:
 
 
 def _first_witness(
-    instance: Instance,
-    goal: AllocationGoal,
-    budget: SearchBudget,
-    deadline: Optional[float],
+    instance: Instance, goal: AllocationGoal, max_states: int
 ) -> Optional[Allocation]:
     n, m = instance.agent_count, instance.item_count
     kind = goal.extension
@@ -323,20 +305,9 @@ def _first_witness(
 
     def count(leaves: int) -> None:
         nonlocal states
-        before, states = states, states + leaves
-        # The first multiple of 1024 in (before, states], where a scan of one
-        # allocation at a time would have read the clock.
-        mark = (before // 1024 + 1) * 1024
-        if (
-            deadline is not None
-            and mark <= min(states, budget.max_states)
-            and time.monotonic() > deadline
-        ):
-            raise BudgetExceededError("search exceeded its time limit")
-        if states > budget.max_states:
-            raise BudgetExceededError(
-                f"search exceeded its budget of {budget.max_states} states"
-            )
+        states += leaves
+        if states > max_states:
+            raise BudgetExceededError(f"search exceeded its budget of {max_states} states")
 
     owner = _owners(instance, kind) if equal else []
     if owner is None:
@@ -419,10 +390,7 @@ def _first_witness(
 
 
 def _exists_two_agent_pr(
-    instance: Instance,
-    goal: AllocationGoal,
-    budget: SearchBudget,
-    deadline: Optional[float],
+    instance: Instance, goal: AllocationGoal, max_states: int
 ) -> Optional[Allocation]:
     m = instance.item_count
     perms = tuple(tuple(r.order) for r in instance.rankings)
@@ -436,13 +404,10 @@ def _exists_two_agent_pr(
         perms[0],
         perms[1],
         _FAST_PR_RELATIONS[goal.extension],
-        max_states=budget.max_states,
-        deadline=deadline,
+        max_states=max_states,
     )
     if mask is None and states < count_allocations(instance, goal.forces_equal_sizes):
-        raise BudgetExceededError(
-            f"search exceeded its budget of {budget.max_states} states"
-        )
+        raise BudgetExceededError(f"search exceeded its budget of {max_states} states")
     if mask is None:
         return None
     return Allocation(_pairsearch.mask_to_bundles(mask, m))

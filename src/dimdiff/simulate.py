@@ -45,7 +45,7 @@ from .protocols import (
     pddpr_exists,
     pospr_exists,
 )
-from .search import AllocationGoal, SearchBudget, exists_allocation
+from .search import AllocationGoal, exists_allocation
 
 CSV_HEADER = "A,m,trials,p_necpr,p_nddpr,p_pddpr,p_pospr,p_rr_cardinal_proportional"
 
@@ -167,7 +167,6 @@ def run_trial(
     noise: float,
     rng: np.random.Generator,
     agents: int = 2,
-    budget: Optional[SearchBudget] = None,
 ) -> TrialResult:
     values, instance = generate_profile(m, noise, rng, agents)
     reports = {name: decide(instance) for name, decide in _DECISIONS.items()}
@@ -181,7 +180,7 @@ def run_trial(
         answer = reports[name].exists
         if answer is None:
             witness = exists_allocation(
-                instance, AllocationGoal(Criterion.PROPORTIONALITY, extension), budget
+                instance, AllocationGoal(Criterion.PROPORTIONALITY, extension)
             )
             answer = witness is not None
         exists[name] = answer

@@ -542,6 +542,19 @@ def test_preflib_soc_reader(tmp_path):
     assert profile.instance.rankings[2].order == (0, 1, 2)
 
 
+@pytest.mark.parametrize("declared", [2, 4])
+def test_preflib_soc_header_must_match_the_orders(tmp_path, capsys, declared):
+    # Three-item orders under a header declaring fewer or more alternatives.
+    path = tmp_path / "mismatch.soc"
+    path.write_text(f"# NUMBER ALTERNATIVES: {declared}\n1: 1,2,3\n1: 3,2,1\n")
+    with pytest.raises(ValueError):
+        load_preflib_soc(str(path))
+    assert main([
+        "solve", "--profile", str(path), "--goal", "pospr", "--method", "protocol",
+    ]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_malformed_profile_is_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

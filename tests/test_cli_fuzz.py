@@ -83,7 +83,13 @@ x3cs = st.fixed_dictionaries({
 })
 
 soc_lines = st.one_of(
-    st.sampled_from(["# NUMBER ALTERNATIVES: 3", "# ALTERNATIVE NAME 1: a", "#", ""]),
+    st.sampled_from([
+        "# NUMBER ALTERNATIVES: 3",
+        "# NUMBER ALTERNATIVES: 2",
+        "# ALTERNATIVE NAME 1: a",
+        "#",
+        "",
+    ]),
     st.builds(
         lambda count, order: f"{count}: {','.join(map(str, order))}",
         st.integers(-1, 2),

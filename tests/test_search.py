@@ -17,7 +17,6 @@ from dimdiff.fairness import Criterion, check_envy_free, check_proportional
 from dimdiff.search import (
     _FAST_PR_RELATIONS,
     AllocationGoal,
-    SearchBudget,
     _assignments,
     _owners,
     _to_allocation,
@@ -84,7 +83,7 @@ def test_enumeration_order_and_uniqueness():
 def test_enumeration_budget():
     inst = goods((0, 1, 2, 3), (3, 2, 1, 0))
     with pytest.raises(BudgetExceededError):
-        list(enumerate_allocations(inst, budget=SearchBudget(max_states=10)))
+        list(enumerate_allocations(inst, max_states=10))
 
 
 def test_enumeration_equal_sizes_infeasible():
@@ -122,13 +121,9 @@ def test_exists_respects_budget():
     # exhaust all six balanced splits; a budget of three is not enough.
     inst = goods((3, 2, 1, 0), (1, 2, 3, 0))
     with pytest.raises(BudgetExceededError):
-        exists_allocation(
-            inst, AllocationGoal(PR, RelationKind.NEC), SearchBudget(max_states=3)
-        )
+        exists_allocation(inst, AllocationGoal(PR, RelationKind.NEC), max_states=3)
     with pytest.raises(BudgetExceededError):
-        exists_allocation(
-            inst, AllocationGoal(EF, RelationKind.NEC), SearchBudget(max_states=3)
-        )
+        exists_allocation(inst, AllocationGoal(EF, RelationKind.NEC), max_states=3)
 
 
 # Every goal the generic search serves: it takes all but two-agent goods
@@ -180,34 +175,15 @@ def test_generic_search_matches_reference_scan_with_budgets():
         assert (result and result.bundles) == (witness and witness.bundles), (inst, goal)
         found += witness is not None
         for max_states in budgets:
-            budget = SearchBudget(max_states=max_states)
             if position > max_states:
                 with pytest.raises(BudgetExceededError, match="states"):
-                    exists_allocation(inst, goal, budget)
+                    exists_allocation(inst, goal, max_states=max_states)
                 exhausted += 1
             else:
-                result = exists_allocation(inst, goal, budget)
+                result = exists_allocation(inst, goal, max_states=max_states)
                 assert (result and result.bundles) == (witness and witness.bundles)
     # The seed reaches both answers and both sides of every budget.
     assert 0 < found < len(cases) and 0 < exhausted < len(cases) * len(budgets)
-
-
-def test_generic_search_honours_its_time_limit():
-    # A time limit of zero has expired by the first reading of the clock,
-    # when the count of allocations passes 1024.  Agents sharing a best item
-    # admit no NDD-proportional allocation, so all 1,680 balanced
-    # allocations of 3 agents and 9 goods are counted, most of them in cut
-    # subtrees; 90 allocations of 3 agents and 6 goods never reach the clock.
-    nine = goods((0, 1, 2, 3, 4, 5, 6, 7, 8), (0, 8, 7, 6, 5, 4, 3, 2, 1), tuple(range(8, -1, -1)))
-    six = goods((0, 1, 2, 3, 4, 5), (0, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1, 0))
-    for goal in (AllocationGoal(PR, RelationKind.NDD), AllocationGoal(EF, RelationKind.NEC)):
-        assert generic_scan(nine, goal) == (None, 1680)
-        with pytest.raises(BudgetExceededError, match="time limit"):
-            exists_allocation(nine, goal, SearchBudget(time_limit=0))
-        # A budget of states that ends before the clock is read wins.
-        with pytest.raises(BudgetExceededError, match="states"):
-            exists_allocation(nine, goal, SearchBudget(max_states=1023, time_limit=0))
-        assert exists_allocation(six, goal, SearchBudget(time_limit=0)) is None
 
 
 # Twelve goods for three agents; the first two share their best item, 7, so
@@ -242,8 +218,8 @@ def test_cut_subtrees_count_every_allocation_they_hold(inst, goal):
     assert total == 34_650
     assert exists_allocation(inst, goal) is None
     with pytest.raises(BudgetExceededError, match="states"):
-        exists_allocation(inst, goal, SearchBudget(max_states=total - 1))
-    assert exists_allocation(inst, goal, SearchBudget(max_states=total)) is None
+        exists_allocation(inst, goal, max_states=total - 1)
+    assert exists_allocation(inst, goal, max_states=total) is None
 
 
 _EQUAL_SIZE_GOALS = (
@@ -387,8 +363,8 @@ def test_pinned_search_matches_reference_scan(agents, items):
             assert (result and result.bundles) == (witness and witness.bundles), (inst, goal)
             found += witness is not None
             with pytest.raises(BudgetExceededError, match="states"):
-                exists_allocation(inst, goal, SearchBudget(max_states=position - 1))
-            result = exists_allocation(inst, goal, SearchBudget(max_states=position))
+                exists_allocation(inst, goal, max_states=position - 1)
+            result = exists_allocation(inst, goal, max_states=position)
             assert (result and result.bundles) == (witness and witness.bundles)
     assert found
 
@@ -585,9 +561,9 @@ def test_chunked_scan_finds_the_first_witness_at_any_position(witness):
     total = 20_000
     accept = lambda masks: masks >= witness  # noqa: E731
     at = lambda start, stop: np.arange(start, stop, dtype=np.int64)  # noqa: E731
-    assert _pairsearch._first_split(at, total, accept, None, None) == (witness, witness + 1)
-    assert _pairsearch._first_split(at, total, accept, witness, None) == (None, witness)
-    assert _pairsearch._first_split(at, witness, accept, None, None) == (None, witness)
+    assert _pairsearch._first_split(at, total, accept, None) == (witness, witness + 1)
+    assert _pairsearch._first_split(at, total, accept, witness) == (None, witness)
+    assert _pairsearch._first_split(at, witness, accept, None) == (None, witness)
 
 
 def test_two_agent_budgets_stop_inside_the_kernels():
@@ -597,67 +573,36 @@ def test_two_agent_budgets_stop_inside_the_kernels():
     assert run_kernel(inst, RelationKind.NEC, 10) == (None, 10)
     goal = AllocationGoal(PR, RelationKind.NEC)
     with pytest.raises(BudgetExceededError):
-        exists_allocation(inst, goal, SearchBudget(max_states=10))
+        exists_allocation(inst, goal, max_states=10)
     assert exists_allocation(inst, goal) is None
-
-
-def test_two_agent_search_honours_its_time_limit():
-    # A time limit of zero has expired by the first check, which follows the
-    # first chunk: searches that need a second chunk raise, whatever the clock.
-    nec = goods(tuple(range(16)), (1, 0) + tuple(range(2, 16)))
-    with pytest.raises(BudgetExceededError, match="time limit"):
-        exists_allocation(nec, AllocationGoal(PR, RelationKind.NEC), SearchBudget(time_limit=0))
-    first, second = _BOUNDARY_WITNESSES[-1][2:]
-    pos = goods(first, second)  # POS witness at state 65, in the second chunk
-    with pytest.raises(BudgetExceededError, match="time limit"):
-        exists_allocation(pos, AllocationGoal(PR, RelationKind.POS), SearchBudget(time_limit=0))
-    # A witness in the first chunk is returned before the deadline is read.
-    early = goods((3, 2, 1, 0), (1, 2, 3, 0))
-    assert exists_allocation(
-        early, AllocationGoal(PR, RelationKind.NDD), SearchBudget(time_limit=0)
-    ) is not None
-
-
-def test_equal_split_table_build_honours_the_time_limit():
-    # The C(22, 11) = 705,432-mask Gosper table takes about 0.2 s to build;
-    # the deadline is read while it is built, and no partial table is kept.
-    inst = goods(tuple(range(22)), (1, 0) + tuple(range(2, 22)))
-    _pairsearch._equal_split_masks.cache_clear()
-    start = time.monotonic()
-    with pytest.raises(BudgetExceededError, match="time limit"):
-        exists_allocation(
-            inst, AllocationGoal(PR, RelationKind.NEC), SearchBudget(time_limit=0.001)
-        )
-    assert time.monotonic() - start < 0.05
-    assert (22, 11) not in _pairsearch._equal_split_masks._tables
-    # Complete tables are unchanged: every balanced mask, ascending.
-    for items in range(2, 17, 2):
-        expected = sorted(
-            sum(1 << bit for bit in bits)
-            for bits in itertools.combinations(range(items), items // 2)
-        )
-        assert _pairsearch._equal_split_masks(items, items // 2).tolist() == expected
 
 
 def test_equal_split_table_build_honours_a_small_state_budget():
     # A state budget below C(22, 11) builds only that many masks, uncached.
     inst = goods(tuple(range(22)), (1, 0) + tuple(range(2, 22)))
-    _pairsearch._equal_split_masks.cache_clear()
+    _pairsearch._balanced_masks.cache_clear()
     start = time.monotonic()
     with pytest.raises(BudgetExceededError, match="states"):
-        exists_allocation(inst, AllocationGoal(PR, RelationKind.NEC), SearchBudget(max_states=10))
+        exists_allocation(inst, AllocationGoal(PR, RelationKind.NEC), max_states=10)
     assert time.monotonic() - start < 0.05
-    assert not _pairsearch._equal_split_masks._tables
-    # The partial table answers as the full one does: this NEC witness is the
-    # 39th of the C(8, 4) = 70 masks.
+    assert not _pairsearch._balanced_masks.cache_info().currsize
+    # A partial table answers as the full one does, cached or not: this NEC
+    # witness is the 39th of the C(8, 4) = 70 masks.
     first, second = (7, 1, 5, 3, 4, 2, 0, 6), (5, 0, 3, 4, 6, 7, 1, 2)
     for max_states in (0, 1, 38, 39, 69, 70, 1000):
-        _pairsearch._equal_split_masks.cache_clear()
+        _pairsearch._balanced_masks.cache_clear()
         partial = _pairsearch.first_equal_split(8, first, second, "nec", max_states)
-        assert bool(_pairsearch._equal_split_masks._tables) == (max_states >= 70)
-        _pairsearch._equal_split_masks(8, 4)
+        assert bool(_pairsearch._balanced_masks.cache_info().currsize) == (max_states >= 70)
+        _pairsearch._balanced_masks(8)
         full = _pairsearch.first_equal_split(8, first, second, "nec", max_states)
         assert partial == full == ((142, 39) if max_states >= 39 else (None, max_states))
+    # Complete tables are every balanced mask, ascending.
+    for items in range(2, 17, 2):
+        expected = sorted(
+            sum(1 << bit for bit in bits)
+            for bits in itertools.combinations(range(items), items // 2)
+        )
+        assert _pairsearch._balanced_masks(items).tolist() == expected
 
 
 def test_existence_monotone_in_extension_strength():
@@ -705,17 +650,17 @@ def test_pddef_witness_never_for_empty_bundle():
 
 
 def test_pddef_witness_three_agent_fixture():
-    # The sampled search on the three-agent allocation {6,1} {5,2} {3,4}:
-    # recorded outcome with this seed and sample count is "witness found";
-    # any returned profile must check out concretely.
+    # The sampled search on the three-agent allocation {6,1} {5,2} {3,4}
+    # finds a witness with this seed and sample count, and the profile
+    # must check out concretely.
     inst = goods((5, 4, 2, 3, 1, 0), (4, 3, 2, 5, 1, 0), (3, 5, 2, 4, 1, 0))
     alloc = Allocation(((5, 0), (4, 1), (2, 3)))
     profile = pddef_witness_search(inst, alloc, samples=2000, seed=0)
-    if profile is not None:
-        own = [profile[i].of(alloc.bundle(i)) for i in range(3)]
-        for i in range(3):
-            for j in range(3):
-                assert own[i] >= profile[i].of(alloc.bundle(j))
+    assert profile is not None
+    own = [profile[i].of(alloc.bundle(i)) for i in range(3)]
+    for i in range(3):
+        for j in range(3):
+            assert own[i] >= profile[i].of(alloc.bundle(j))
 
 
 def test_pddef_witness_validation():
