@@ -36,16 +36,18 @@ _CHUNK = 8192
 
 def _gosper(item_count: int, count: int) -> np.ndarray:
     """The first ``count`` masks with M/2 of the M bits set, ascending, built
-    one at a time in Python."""
-    masks = []
-    mask = (1 << (item_count // 2)) - 1
-    for _ in range(count):
-        masks.append(mask)
-        # Gosper's hack: next integer with the same popcount.
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
-    return np.array(masks, dtype=np.int64)
+    one at a time in Python straight into the array."""
+
+    def masks() -> Iterator[int]:
+        mask = (1 << (item_count // 2)) - 1
+        for _ in range(count):
+            yield mask
+            # Gosper's hack: next integer with the same popcount.
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | (((mask ^ ripple) >> 2) // low)
+
+    return np.fromiter(masks(), dtype=np.int64, count=count)
 
 
 @lru_cache(maxsize=32)

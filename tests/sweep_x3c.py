@@ -9,10 +9,16 @@ Not collected by pytest; run it directly:
 Per instance it compares ``solve_x3c`` with ``nddef_search_reduced``,
 re-checks every witness with ``check_envy_free``, checks that the triples
 holding main items hold their own and form a cover, and checks the
-allocation ``allocation_from_cover`` builds from the solver's cover.  ``exhaustive`` takes every instance of the
-shapes (q, n) = (1,1)..(1,4) and (2,2), with triples as ordered tuples;
-``random`` draws uniform triples; ``planted`` shuffles a random exact cover
-in with random extra triples, so that covers exist at larger q.
+allocation ``allocation_from_cover`` builds from the solver's cover.
+``exhaustive`` takes every instance of the shapes (q, n) = (1,1)..(1,4)
+and (2,2), with triples as ordered tuples; ``random`` draws uniform triples
+at ``RANDOM_SHAPES``, up to (3,6) and (4,6); ``planted`` shuffles a random
+exact cover in with random extra triples at ``PLANTED_SHAPES``, up to (4,7)
+and (5,7), so that covers exist at larger q.  The exhaustive (2,3) shape,
+1,728,000 instances, is left out of the modes (it takes about 15 min on
+a 2-core machine with Python 3.11.7); run it once with
+
+    cd tests && PYTHONPATH=../src python -c "import sweep_x3c as s; s.report('exhaustive (2,3)', s.exhaustive(2, 3))"
 """
 
 import itertools
@@ -32,9 +38,9 @@ from dimdiff.reductions import (
 from test_reductions import cover_held_by
 
 RANDOM_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4),
-                 (3, 3), (3, 4), (4, 4), (3, 5), (4, 5)]
+                 (3, 3), (3, 4), (4, 4), (3, 5), (4, 5), (3, 6), (4, 6)]
 PLANTED_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (2, 5), (3, 5),
-                  (4, 5), (3, 6)]
+                  (4, 5), (3, 6), (4, 6), (4, 7), (5, 7)]
 
 
 def faults(x3c):

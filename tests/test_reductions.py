@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,8 @@ from dimdiff.fairness import Criterion, check_envy_free
 from dimdiff.reductions import (
     ReducedInstance,
     X3CInstance,
+    _arc_consistent,
+    _mutual_tolerance,
     allocation_from_cover,
     nddef_search_reduced,
     reduce_x3c,
@@ -108,6 +111,90 @@ def bijection_search(reduced):
         return None
 
     return extend()
+
+
+def forward_checking_search(reduced, pinned=None):
+    """The structured search without the root filter: the reference.
+
+    Forward checking on one bitmask domain per open agent, built from
+    cumulative level tables; next is the open agent with the smallest
+    domain (lowest index on ties), its items tried in ascending order.
+    ``pinned = (agent, k)`` leaves ``agent`` only free item k.
+    """
+    instance = reduced.instance
+    agents, m, rankings = instance.agent_count, instance.item_count, instance.rankings
+    top_dummy = [r.best for r in rankings]
+    free_items = sorted(set(range(m)) - set(top_dummy))
+    full = (1 << agents) - 1
+    level = [[r.level(item) for item in free_items] for r in rankings]
+    top_level = [[r.level(t) for t in top_dummy] for r in rankings]
+    # at_most[a][t]: the free items a ranks at level <= t; at_least[a][t]:
+    # those at level >= t - M; t runs over 0 .. 2M.
+    at_most, at_least = [], []
+    for a in range(agents):
+        exact = [0] * (2 * m + 1)
+        for k, lev in enumerate(level[a]):
+            exact[lev] |= 1 << k
+        below = list(itertools.accumulate(exact, int.__or__))
+        at_most.append(below)
+        at_least.append([full] * (m + 1) + [full ^ below[t] for t in range(m)])
+    slack = [[m - lev for lev in row] for row in top_level]
+    second = [0] * agents
+
+    def extend(open_domains, pick, left):
+        if not open_domains:
+            return True
+        agent, domain = open_domains[pick]
+        rest = open_domains[:pick] + open_domains[pick + 1:]
+        tolerated, own, lets = at_most[agent], level[agent], slack[agent]
+        while domain:
+            low = domain & -domain
+            domain ^= low
+            k = low.bit_length() - 1
+            held = own[k]
+            narrowed = []
+            smallest, next_pick, union = agents + 1, 0, 0
+            for other, dom in rest:
+                dom &= (
+                    tolerated[held + lets[other]]
+                    & at_least[other][level[other][k] + top_level[other][agent]]
+                    & ~low
+                )
+                size = dom.bit_count()
+                if not size:
+                    break
+                union |= dom
+                if size < smallest:
+                    smallest, next_pick = size, len(narrowed)
+                narrowed.append((other, dom))
+            else:
+                if union != left ^ low:
+                    continue
+                second[agent] = k
+                if extend(narrowed, next_pick, left ^ low):
+                    return True
+        return False
+
+    domains = [(a, full) for a in range(agents)]
+    if pinned is not None:
+        domains[pinned[0]] = (pinned[0], 1 << pinned[1])
+    if not extend(domains, 0, full):
+        return None
+    return Allocation.from_lists(
+        [(top_dummy[a], free_items[second[a]]) for a in range(agents)]
+    )
+
+
+def root_filter(reduced):
+    """The root filter's domains ``kept[agent, k]`` (None when it refutes),
+    on tolerance tables built from ``Ranking.level``."""
+    rankings = reduced.instance.rankings
+    m = reduced.instance.item_count
+    tops = [r.best for r in rankings]
+    free = sorted(set(range(m)) - set(tops))
+    level = np.array([[r.level(item) for item in free] for r in rankings])
+    slack = m - np.array([[r.level(t) for t in tops] for r in rankings])
+    return _arc_consistent(_mutual_tolerance(level, slack))
 
 
 # --- instance type ------------------------------------------------------------
@@ -367,6 +454,84 @@ def test_structured_search_matches_bijection_search(instances):
         assert (structured is None) == (bijection_search(reduced) is None), case
         if structured is not None:
             assert check_envy_free(structured, reduced.instance, RelationKind.NDD).result
+
+
+def _planted_x3c(rng, q, n):
+    elements = rng.sample(range(3 * q), 3 * q)
+    triplets = [tuple(elements[3 * i:3 * i + 3]) for i in range(q)]
+    triplets += [tuple(rng.sample(range(3 * q), 3)) for _ in range(n - q)]
+    rng.shuffle(triplets)
+    return X3CInstance(3 * q, tuple(triplets))
+
+
+def _coverless_x3c(rng, q, n):
+    while solve_x3c(x3c := _random_x3c(rng, q, n)) is not None:
+        pass
+    return x3c
+
+
+def _assert_same_witness(reduced):
+    witness = nddef_search_reduced(reduced)
+    reference = forward_checking_search(reduced)
+    assert (witness is None) == (reference is None)
+    if witness is not None:
+        assert witness.bundles == reference.bundles
+
+
+def _assert_dropped_pairs_are_unused(reduced):
+    kept = root_filter(reduced)
+    if kept is None:
+        assert forward_checking_search(reduced) is None
+        return
+    for agent, k in np.argwhere(~kept).tolist():
+        assert forward_checking_search(reduced, pinned=(agent, k)) is None, (agent, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x3c_instances())
+def test_filtered_search_returns_the_forward_checking_witness(x3c):
+    _assert_same_witness(reduce_x3c(x3c))
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [
+        pytest.param(
+            _seeded(_planted_x3c, 41, [(2, 4), (3, 4), (3, 5)] * 10)
+            + _seeded(_coverless_x3c, 42, [(2, 4), (3, 4), (3, 5)] * 10),
+            id="planted_and_coverless",
+        ),
+        pytest.param(
+            _seeded(_random_shaped, 43, [(agents,) for agents in (3, 4, 5, 6)] * 20),
+            id="random_shaped",
+        ),
+    ],
+)
+def test_filtered_search_returns_the_forward_checking_witness_seeded(instances):
+    # The root filter skips only subtrees without an envy-free allocation,
+    # and the branching order comes from the unfiltered domains, so the
+    # first allocation found is the reference's, byte for byte.
+    for case in instances:
+        _assert_same_witness(case if isinstance(case, ReducedInstance) else reduce_x3c(case))
+
+
+@settings(max_examples=30, deadline=None)
+@given(x3c_instances())
+def test_root_filter_drops_only_unused_pairs(x3c):
+    _assert_dropped_pairs_are_unused(reduce_x3c(x3c))
+
+
+def test_root_filter_drops_only_unused_pairs_seeded():
+    # Shapes of at most nine agents, where pinning every dropped pair in
+    # the reference stays cheap.
+    cases = (
+        _seeded(_planted_x3c, 44, [(2, 3), (3, 3)] * 5)
+        + _seeded(_coverless_x3c, 45, [(2, 3), (3, 3)] * 5)
+    )
+    for x3c in cases:
+        _assert_dropped_pairs_are_unused(reduce_x3c(x3c))
+    for reduced in _seeded(_random_shaped, 46, [(agents,) for agents in (4, 6, 9)] * 10):
+        _assert_dropped_pairs_are_unused(reduced)
 
 
 def test_structured_search_on_coverless_three_five():
