@@ -19,11 +19,7 @@ import os
 import sys
 from typing import Optional
 
-from .exceptions import (
-    BudgetExceededError,
-    ExtensionKindMismatchError,
-    UnsupportedExtensionError,
-)
+from .exceptions import BudgetExceededError
 from .extensions import REFUTABLE_RELATIONS, RelationKind, holds, refuting_utility
 from .fairness import (
     DEFAULT_MAX_STATES,
@@ -428,14 +424,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-        ExtensionKindMismatchError,
-        UnsupportedExtensionError,
-    ) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

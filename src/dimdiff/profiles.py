@@ -121,9 +121,11 @@ def parse_bundle(text: str, profile: NamedProfile) -> MultiBundle:
         token = raw.strip()
         if not token:
             continue
-        name, _, repeat = token.partition("*")
+        name, star, repeat = token.partition("*")
         multiplicity = 1
-        if repeat:
+        if star:
+            if not repeat:
+                raise ValueError(f"missing multiplicity in {token!r}")
             multiplicity = int(repeat)
             if multiplicity < 1:
                 raise ValueError(f"multiplicity in {token!r} must be >= 1")
@@ -168,9 +170,10 @@ def load_preflib_soc(path: str, kind: ItemKind = ItemKind.GOODS) -> NamedProfile
 
     Metadata lines start with ``#``; each data line is
     ``count: alt,alt,...`` with 1-based alternative numbers, expanded to
-    ``count`` agents sharing the ranking.  Every order must rank as many
-    alternatives as ``# NUMBER ALTERNATIVES`` declares (without that line,
-    the highest number named); a mismatch is a ValueError.
+    ``count`` agents sharing the ranking.  Every count must be at least 1,
+    and every order must rank as many alternatives as
+    ``# NUMBER ALTERNATIVES`` declares (without that line, the highest
+    number named); anything else is a ValueError.
     """
     names: dict[int, str] = {}
     alternative_count = 0
@@ -192,6 +195,8 @@ def load_preflib_soc(path: str, kind: ItemKind = ItemKind.GOODS) -> NamedProfile
                 continue
             count_text, _, ranking_text = line.partition(":")
             count = int(count_text.strip())
+            if count < 1:
+                raise ValueError(f"{path}: a preference line has count {count}, not >= 1")
             order = [int(tok.strip()) for tok in ranking_text.split(",")]
             orders.append((count, order))
     if not orders:

@@ -6,8 +6,8 @@ two agents or with distinct best items; balanced round-robin and serial
 picks are the constructive halves.  Necessarily-proportional allocations
 are decided for any n by a bipartite matching of slots to items.  Chores:
 a necessary feasibility condition (avoid every agent's worst-chore
-window), an exact two-agent protocol, and a three-agent protocol for the
-special case of near-identical rankings.
+window), an exact two-agent decision that mirrors NDDPR, and a
+three-agent protocol for the special case of near-identical rankings.
 
 NDDPR (``_ndd``: the n-copied bundle X is at least as large as the full
 set, and every top-k prefix of its levels sums to at least the full set's
@@ -84,6 +84,14 @@ visited.  So the reached slots outnumber their neighbours by one: a Hall
 violator, which no matching can saturate.  (Cf. Aziz, Gaspers, Mackenzie
 and Walsh, Fair assignment of indivisible objects under ordinal
 preferences, AIJ 2015, on SD-proportionality.)
+
+NIDPR at two agents is NDDPR mirrored.  At n = 2, 2u(X) >= u(M) iff
+u(X) >= u(Y) for the other bundle Y, so proportionality is envy-freeness
+under every relation; and ``_nid`` of x over y is ``_ndd`` of y over x on
+the levels of the reversed ranking.  So (X0, X1) is NIDPR iff (X1, X0) is
+NDDPR on the goods instance with reversed rankings: by the rule above, iff
+M is even and the worst chores (its best items) are distinct, with its
+balanced round-robin, bundles swapped, as the witness.
 """
 
 from __future__ import annotations
@@ -341,7 +349,7 @@ def certificate_holds(
 # ---------------------------------------------------------------------------
 
 def _worst_window_size(agent_count: int) -> int:
-    return (agent_count - 1 + 1) // 2  # ceil((n-1)/2)
+    return agent_count // 2  # ceil((n-1)/2)
 
 
 def _avoidance_feasible(instance: Instance) -> bool:
@@ -388,34 +396,20 @@ def nidpr_necessary(instance: Instance) -> ExistenceReport:
 def nidpr_two_agents(instance: Instance) -> ExistenceReport:
     """Exact two-agent decision: even split plus distinct worst chores.
 
-    Both conditions together are sufficient, and each is necessary.  The
-    witness normally comes from balanced round-robin, but round-robin is not
-    actually guaranteed here: an agent's worst chore can be consumed early as
-    the other agent's favourite, after which the final backward pass may hand
-    someone its own worst chore (e.g. rankings 3>2>1>0 and 2>1>0>3).  The
-    output is therefore verified, with an exact equal-split search as the
-    fallback witness.
+    :func:`nddpr_exists` on the reversed rankings, with the witness's two
+    bundles swapped (see the module docstring for the proof).
     """
     if instance.kind is not ItemKind.CHORES:
         raise ValueError("nidpr_two_agents applies to chores instances")
     if instance.agent_count != 2:
         raise ValueError("nidpr_two_agents requires exactly two agents")
-    m = instance.item_count
-    if m % 2:
-        return ExistenceReport(False, Reason.NOT_MULTIPLE_OF_N)
-    if instance.rankings[0].worst == instance.rankings[1].worst:
-        return ExistenceReport(False, Reason.SHARED_WORST_WINDOW_INFEASIBLE)
-    allocation = balanced_round_robin(instance)
-    if not check_proportional(allocation, instance, RelationKind.NID).result:
-        from .fairness import Criterion
-        from .search import AllocationGoal, exists_allocation
-
-        allocation = exists_allocation(
-            instance, AllocationGoal(Criterion.PROPORTIONALITY, RelationKind.NID)
-        )
-        if allocation is None:  # the exactness of the conditions guarantees one
-            raise AssertionError("no balanced split is proportional despite the conditions")
-    return ExistenceReport(True, Reason.CONDITIONS_MET, allocation)
+    mirror = nddpr_exists(Instance(ItemKind.GOODS, tuple(r.reversed() for r in instance.rankings)))
+    if mirror.allocation is None:
+        if mirror.reason is Reason.SHARED_BEST_ITEM:
+            return ExistenceReport(False, Reason.SHARED_WORST_WINDOW_INFEASIBLE)
+        return mirror
+    first, second = mirror.allocation.bundles
+    return ExistenceReport(True, Reason.CONDITIONS_MET, Allocation((second, first)))
 
 
 def nidpr_three_agents_special(instance: Instance) -> ExistenceReport:

@@ -126,6 +126,18 @@ def test_compare_unknown_item(profile_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bundle", ["2*", "2* ,3"])
+def test_compare_empty_multiplicity_is_usage_error(profile_path, capsys, bundle):
+    # A star without a count is malformed, not a single copy.
+    path = profile_path(EIGHT)
+    code = main([
+        "compare", "--profile", path, "--agent", "alice",
+        "--x", bundle, "--y", "1", "--relation", "nec",
+    ])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # --- check --------------------------------------------------------------------
 
 def test_check_envy_example(profile_path, capsys):
@@ -551,6 +563,19 @@ def test_preflib_soc_header_must_match_the_orders(tmp_path, capsys, declared):
         load_preflib_soc(str(path))
     assert main([
         "solve", "--profile", str(path), "--goal", "pospr", "--method", "protocol",
+    ]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_preflib_soc_nonpositive_count_is_usage_error(tmp_path, capsys, count):
+    # A line with no voters is malformed; it must not be dropped silently.
+    path = tmp_path / "count.soc"
+    path.write_text(f"1: 1,2,3\n{count}: 1,2,3\n1: 3,2,1\n")
+    with pytest.raises(ValueError):
+        load_preflib_soc(str(path))
+    assert main([
+        "solve", "--profile", str(path), "--goal", "nddpr", "--method", "condition",
     ]) == 2
     assert "Traceback" not in capsys.readouterr().err
 

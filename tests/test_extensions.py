@@ -12,10 +12,12 @@ from dimdiff.extensions import (
     holds,
     ndd_generator_oracle,
     refuting_utility,
+    relation_holds,
     sample_consistent_utility,
     sample_dd_utility,
     sample_id_utility,
     sampled_utility_refuter,
+    share_holds,
     threshold_counts,
 )
 
@@ -100,6 +102,26 @@ def test_reversal_property(data):
     assert holds(RelationKind.PID, x, y, ranking) == holds(
         RelationKind.PDD, y, x, ranking.reversed()
     )
+
+
+def test_two_agent_share_identities():
+    # The two identities nidpr_two_agents rests on, for every subset X of
+    # the levels M..1 with complement Y: (a) with two agents
+    # 2u(X) >= u(M) iff u(X) >= u(Y), so proportionality is envy-freeness
+    # under every relation; (b) X is NID-proportional iff Y beats X under
+    # NDD on mirrored levels M + 1 - level.
+    def mirror(levels, m):
+        return [m + 1 - level for level in reversed(levels)]
+
+    for m in range(1, 10):
+        for mask in range(1 << m):
+            x = [level for level in range(m, 0, -1) if mask >> (level - 1) & 1]
+            y = [level for level in range(m, 0, -1) if not mask >> (level - 1) & 1]
+            for kind in RelationKind:
+                assert share_holds(kind, x, 2, m) == relation_holds(kind, x, y, m)
+            assert share_holds(RelationKind.NID, x, 2, m) == relation_holds(
+                RelationKind.NDD, mirror(y, m), mirror(x, m), m
+            )
 
 
 @pytest.mark.parametrize("kind", [RelationKind.NID, RelationKind.PID])

@@ -371,7 +371,9 @@ def test_nidpr_two_agents_round_robin_gap():
     # Balanced round-robin alone can hand an agent its own worst chore even
     # with distinct worst chores: here the first agent grabs item 3 (the
     # other's worst) immediately and is left with its own worst item 0 in the
-    # backward pass.  The decision must still return a verified allocation.
+    # backward pass.  The decision instead runs round-robin on the mirrored
+    # goods instance, where each agent first takes its own worst chore, and
+    # swaps the two bundles, so each worst chore goes to the other agent.
     inst = chores_instance((3, 2, 1, 0), (2, 1, 0, 3))
     rr = balanced_round_robin(inst)
     assert not check_proportional(rr, inst, RelationKind.NID).result
