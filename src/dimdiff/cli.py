@@ -54,7 +54,7 @@ from .protocols import (
     pospr_exists,
 )
 from .reductions import reduce_x3c, x3c_from_json
-from .search import AllocationGoal, exists_allocation
+from .search import GOALS, exists_allocation
 from .simulate import SimConfig, full_grid_config, main_csv
 
 EXIT_HOLDS = 0
@@ -173,16 +173,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_HOLDS if verdict.result else EXIT_FAILS
 
 
-_GOAL_TABLE = {
-    "nddpr": (Criterion.PROPORTIONALITY, RelationKind.NDD),
-    "necpr": (Criterion.PROPORTIONALITY, RelationKind.NEC),
-    "pddpr": (Criterion.PROPORTIONALITY, RelationKind.PDD),
-    "pospr": (Criterion.PROPORTIONALITY, RelationKind.POS),
-    "nidpr": (Criterion.PROPORTIONALITY, RelationKind.NID),
-    "nddef": (Criterion.ENVY_FREENESS, RelationKind.NDD),
-}
-
-
 def _report_payload(report: ExistenceReport, profile: NamedProfile, goal: str) -> tuple[dict, int]:
     lines = []
     payload: dict = {"goal": goal, "reason": report.reason.value}
@@ -245,10 +235,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         _emit(payload, args.json)
         return code
 
-    criterion, extension = _GOAL_TABLE[goal]
-    witness = exists_allocation(
-        instance, AllocationGoal(criterion, extension), max_states=args.budget
-    )
+    witness = exists_allocation(instance, GOALS[goal], max_states=args.budget)
     payload = {"goal": goal, "method": "search"}
     if witness is None:
         payload["exists"] = False
@@ -387,7 +374,7 @@ def _parser(budget: str) -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="find or refute a fair allocation")
     solve.add_argument("--profile", required=True)
-    solve.add_argument("--goal", required=True, choices=sorted(_GOAL_TABLE))
+    solve.add_argument("--goal", required=True, choices=sorted(GOALS))
     solve.add_argument(
         "--method", default="search", choices=["condition", "protocol", "search"]
     )

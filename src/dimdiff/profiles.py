@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Optional
+
 from .core import Allocation, Instance, ItemKind, MultiBundle, Ranking
 
 
@@ -176,7 +178,7 @@ def load_preflib_soc(path: str, kind: ItemKind = ItemKind.GOODS) -> NamedProfile
     number named); anything else is a ValueError.
     """
     names: dict[int, str] = {}
-    alternative_count = 0
+    alternative_count: Optional[int] = None  # None: no header
     orders: list[tuple[int, list[int]]] = []
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
@@ -201,7 +203,7 @@ def load_preflib_soc(path: str, kind: ItemKind = ItemKind.GOODS) -> NamedProfile
             orders.append((count, order))
     if not orders:
         raise ValueError(f"{path} contains no preference lines")
-    if not alternative_count:
+    if alternative_count is None:
         alternative_count = max(max(order) for _, order in orders)
     for _, order in orders:
         if len(order) != alternative_count:

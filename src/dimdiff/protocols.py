@@ -127,7 +127,7 @@ class ExistenceReport:
     allocation is present and passes the corresponding fairness check.  A
     ``HALL_VIOLATION`` no carries the violating slots ``(agent, j)`` of
     :func:`necpr_exists`, which :func:`hall_violation_holds` checks.
-    :func:`certificate_holds` checks a decisive goods report as a whole.
+    :func:`certificate_holds` checks a decisive report as a whole.
     """
 
     exists: Optional[bool]
@@ -315,13 +315,15 @@ def hall_violation_holds(instance: Instance, slots: Iterable[tuple[int, int]]) -
 def certificate_holds(
     instance: Instance, report: ExistenceReport, extension: RelationKind
 ) -> bool:
-    """Does a decisive goods report check against the instance?
+    """Does a decisive report check against the instance?
 
     A yes must carry a partition of the items that ``check_proportional``
     accepts under ``extension``.  A no must carry a reason that holds: n
-    does not divide M, two rankings share a best item, fewer items than
-    agents, or a Hall violator that :func:`hall_violation_holds` accepts.
-    False for an undecided report and for any other reason.
+    does not divide M; for goods, two rankings share a best item, fewer
+    items than agents, or a Hall violator that :func:`hall_violation_holds`
+    accepts; for chores, n divides M but no allocation of M/n chores per
+    agent avoids every agent's worst-chore window.  False for an undecided
+    report and for any other reason.
     """
     n, m = instance.agent_count, instance.item_count
     if report.exists:
@@ -335,6 +337,12 @@ def certificate_holds(
         return False
     if report.reason is Reason.NOT_MULTIPLE_OF_N:
         return m % n != 0
+    if instance.kind is ItemKind.CHORES:
+        return (
+            report.reason is Reason.SHARED_WORST_WINDOW_INFEASIBLE
+            and m % n == 0
+            and not _avoidance_feasible(instance)
+        )
     if report.reason is Reason.SHARED_BEST_ITEM:
         return len({r.best for r in instance.rankings}) < n
     if report.reason is Reason.FEWER_ITEMS_THAN_AGENTS:

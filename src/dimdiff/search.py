@@ -61,7 +61,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import _pairsearch
-from .core import Allocation, Instance, ItemKind, MultiBundle, UtilityFunction
+from .core import Allocation, Instance, ItemKind, UtilityFunction
 from .exceptions import BudgetExceededError, UnsupportedExtensionError
 from .extensions import RelationKind, holds, relation_holds, share_holds
 from .fairness import DEFAULT_MAX_STATES, _EF_EXTENSIONS, Criterion, _require_kind_match
@@ -99,34 +99,37 @@ class AllocationGoal:
     def forces_equal_sizes(self) -> bool:
         return self.extension in _EQUAL_SIZE_EXTENSIONS
 
-    def agent_accepts(self, instance: Instance, agent: int, bundle: MultiBundle) -> bool:
-        """The test of one agent's own bundle: copied n times, it relates to
-        the full item set.  This is proportionality, and envy-freeness under
-        NEC / NDD implies it (sum the agent's utility over all n bundles)."""
-        return holds(
-            self.extension,
-            bundle.scaled(instance.agent_count),
-            instance.full_bundle(),
-            instance.rankings[agent],
-        )
-
-    def pair_accepts(
-        self, instance: Instance, agent: int, own: MultiBundle, other: MultiBundle
-    ) -> bool:
-        """The envy test: the agent weakly prefers its own bundle to another's."""
-        return holds(self.extension, own, other, instance.rankings[agent])
-
     def satisfied_by(self, alloc: Allocation, instance: Instance) -> bool:
+        """Proportionality: each agent's bundle, copied n times, relates to
+        the full item set.  Envy-freeness: each agent weakly prefers its own
+        bundle to every other agent's."""
         n = instance.agent_count
         bundles = [alloc.bundle(i) for i in range(n)]
+        rankings = instance.rankings
         if self.criterion is Criterion.PROPORTIONALITY:
-            return all(self.agent_accepts(instance, i, bundles[i]) for i in range(n))
+            full = instance.full_bundle()
+            return all(
+                holds(self.extension, bundles[i].scaled(n), full, rankings[i])
+                for i in range(n)
+            )
         return all(
-            self.pair_accepts(instance, i, bundles[i], bundles[j])
+            holds(self.extension, bundles[i], bundles[j], rankings[i])
             for i in range(n)
             for j in range(n)
             if i != j
         )
+
+
+#: The paper's existence goals by name: the ``solve --goal`` choices, the
+#: simulation's columns and the goals of the existence sweep.
+GOALS = {
+    "necpr": AllocationGoal(Criterion.PROPORTIONALITY, RelationKind.NEC),
+    "nddpr": AllocationGoal(Criterion.PROPORTIONALITY, RelationKind.NDD),
+    "pddpr": AllocationGoal(Criterion.PROPORTIONALITY, RelationKind.PDD),
+    "pospr": AllocationGoal(Criterion.PROPORTIONALITY, RelationKind.POS),
+    "nidpr": AllocationGoal(Criterion.PROPORTIONALITY, RelationKind.NID),
+    "nddef": AllocationGoal(Criterion.ENVY_FREENESS, RelationKind.NDD),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +174,7 @@ def count_allocations(instance: Instance, equal_sizes: bool = False) -> int:
         return n**m
     if m % n:
         return 0
-    share = m // n
-    total = 1
-    remaining = m
-    for _ in range(n):
-        total *= math.comb(remaining, share)
-        remaining -= share
-    return total
+    return _balanced_completions([m // n] * n)
 
 
 def enumerate_allocations(

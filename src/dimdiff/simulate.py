@@ -36,8 +36,7 @@ from .core import (
     UtilityFunction,
     classify_dd,
 )
-from .extensions import RelationKind
-from .fairness import Criterion, check_proportional
+from .fairness import check_proportional
 from .protocols import (
     certificate_holds,
     necpr_exists,
@@ -45,24 +44,15 @@ from .protocols import (
     pddpr_exists,
     pospr_exists,
 )
-from .search import AllocationGoal, exists_allocation
+from .search import GOALS, exists_allocation
 
 CSV_HEADER = "A,m,trials,p_necpr,p_nddpr,p_pddpr,p_pospr,p_rr_cardinal_proportional"
 
-_EXTENSION_ORDER = (
-    ("necpr", RelationKind.NEC),
-    ("nddpr", RelationKind.NDD),
-    ("pddpr", RelationKind.PDD),
-    ("pospr", RelationKind.POS),
-)
-
-#: Polynomial decisions of the columns; exhaustive search settles a trial
-#: only where one is undecided.  ``run_trial`` calls ``nddpr_exists`` by its
-#: module-level name instead, so a wrapper installed there sees every call.
-_DECISIONS = {"necpr": necpr_exists, "pddpr": pddpr_exists, "pospr": pospr_exists}
+#: The goals of the existence columns, in CSV order; see ``search.GOALS``.
+_COLUMNS = ("necpr", "nddpr", "pddpr", "pospr")
 
 #: Columns whose every answer carries a certificate checked per trial.
-_CERTIFIED = (("necpr", RelationKind.NEC), ("nddpr", RelationKind.NDD))
+_CERTIFIED = ("necpr", "nddpr")
 
 
 def _valid_noise(amplitude: float) -> bool:
@@ -169,24 +159,25 @@ def run_trial(
     agents: int = 2,
 ) -> TrialResult:
     values, instance = generate_profile(m, noise, rng, agents)
-    reports = {name: decide(instance) for name, decide in _DECISIONS.items()}
-    reports["nddpr"] = nddpr_exists(instance)
-    for name, extension in _CERTIFIED:
-        if not certificate_holds(instance, reports[name], extension):
+    reports = {
+        "necpr": necpr_exists(instance),
+        "nddpr": nddpr_exists(instance),
+        "pddpr": pddpr_exists(instance),
+        "pospr": pospr_exists(instance),
+    }
+    for name in _CERTIFIED:
+        if not certificate_holds(instance, reports[name], GOALS[name].extension):
             raise AssertionError(f"{name} certificate failed its check: {reports[name]}")
 
     exists: dict[str, bool] = {}
-    for name, extension in _EXTENSION_ORDER:
+    for name in _COLUMNS:
         answer = reports[name].exists
         if answer is None:
-            witness = exists_allocation(
-                instance, AllocationGoal(Criterion.PROPORTIONALITY, extension)
-            )
-            answer = witness is not None
+            answer = exists_allocation(instance, GOALS[name]) is not None
         exists[name] = answer
 
     # The implication chain must hold per trial, not just in aggregate.
-    chain = [exists[name] for name, _ in _EXTENSION_ORDER]
+    chain = [exists[name] for name in _COLUMNS]
     for stronger, weaker in zip(chain, chain[1:]):
         if stronger and not weaker:
             raise AssertionError(f"extension implication chain violated: {exists}")
@@ -213,12 +204,12 @@ def run_experiment(config: SimConfig, progress: Optional[IO[str]] = None) -> lis
     cells: list[SimCell] = []
     for ai, noise in enumerate(config.noise_levels):
         for mi, m in enumerate(config.item_pair_counts):
-            tallies = {name: 0 for name, _ in _EXTENSION_ORDER}
+            tallies = {name: 0 for name in _COLUMNS}
             rr_tally = 0
             for trial in range(config.trials):
                 rng = trial_rng(config.seed, ai, mi, trial)
                 result = run_trial(m, noise, rng, config.agents)
-                for name, _ in _EXTENSION_ORDER:
+                for name in _COLUMNS:
                     tallies[name] += result.exists[name]
                 rr_tally += result.rr_cardinal_proportional
             cells.append(

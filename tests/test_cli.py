@@ -554,7 +554,7 @@ def test_preflib_soc_reader(tmp_path):
     assert profile.instance.rankings[2].order == (0, 1, 2)
 
 
-@pytest.mark.parametrize("declared", [2, 4])
+@pytest.mark.parametrize("declared", [0, 2, 4])
 def test_preflib_soc_header_must_match_the_orders(tmp_path, capsys, declared):
     # Three-item orders under a header declaring fewer or more alternatives.
     path = tmp_path / "mismatch.soc"

@@ -189,6 +189,16 @@ def test_certificate_holds_rejects_false_certificates():
     partial = Allocation.from_lists([(0, 2), (1,)])
     assert not certificate_holds(distinct, ExistenceReport(True, Reason.CONDITIONS_MET, partial), ndd)
     assert not certificate_holds(distinct, ExistenceReport(True, Reason.CONDITIONS_MET), ndd)
+    # Chores: a worst-window no holds only where the avoidance assignment
+    # is infeasible, and an NID witness must be one that the extension
+    # accepts.
+    nid = RelationKind.NID
+    worst = ExistenceReport(False, Reason.SHARED_WORST_WINDOW_INFEASIBLE)
+    same_worst = Instance(ItemKind.CHORES, (Ranking((0, 1, 2, 3)), Ranking((1, 0, 2, 3))))
+    distinct_worst = Instance(ItemKind.CHORES, (Ranking((0, 1, 2, 3)), Ranking((0, 1, 3, 2))))
+    assert certificate_holds(same_worst, worst, nid)
+    assert not certificate_holds(distinct_worst, worst, nid)
+    assert certificate_holds(distinct_worst, nidpr_two_agents(distinct_worst), nid)
 
 
 # --- PosPR and PDDPR existence -----------------------------------------------
@@ -202,8 +212,8 @@ def test_possible_decisions_match_search_on_every_small_profile():
     for agents, limit in ((2, 6), (3, 4)):
         for items in range(1, limit + 1):
             for instance in profiles(agents, items):
-                for name, decide, extension in DECISIONS:
-                    answer, _, found = faults(instance, name, decide, extension)
+                for name, decide in DECISIONS:
+                    answer, _, found = faults(instance, name, decide)
                     assert not found, ([r.order for r in instance.rankings], found)
                     undecided += answer is None
     # Only PDDPR at three agents sharing a best item is left open:

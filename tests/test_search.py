@@ -234,11 +234,18 @@ def best_first(items, ranking):
     return sorted((ranking.level(item) for item in items), reverse=True)
 
 
+def own_test(goal, inst, agent, items):
+    """The agent's own test of a bundle through holds: the bundle, copied n
+    times, relates to the full item set."""
+    bundle = MultiBundle.from_items(items).scaled(inst.agent_count)
+    return holds(goal.extension, bundle, inst.full_bundle(), inst.rankings[agent])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_level_tests_agree_with_the_goal(data):
     # The search tests item sets through share_holds and relation_holds on
-    # best-first levels; AllocationGoal tests multi-bundles through holds.
+    # best-first levels; the reference tests multi-bundles through holds.
     m = data.draw(st.integers(1, 9))
     n = data.draw(st.integers(1, 4))
     kind, goal = data.draw(st.sampled_from(_EQUAL_SIZE_GOALS))
@@ -248,14 +255,14 @@ def test_level_tests_agree_with_the_goal(data):
     items = data.draw(st.sets(st.integers(0, m - 1)))
     others = data.draw(st.sets(st.integers(0, m - 1)))
     ranking = inst.rankings[agent]
-    own, other = MultiBundle.from_items(items), MultiBundle.from_items(others)
     assert share_holds(goal.extension, best_first(items, ranking), n, m) == (
-        goal.agent_accepts(inst, agent, own)
+        own_test(goal, inst, agent, items)
     )
     if kind is ItemKind.GOODS:
+        own, other = MultiBundle.from_items(items), MultiBundle.from_items(others)
         assert relation_holds(
             goal.extension, best_first(items, ranking), best_first(others, ranking), m
-        ) == goal.pair_accepts(inst, agent, own, other)
+        ) == holds(goal.extension, own, other, ranking)
 
 
 @pytest.mark.parametrize("kind, goal", _EQUAL_SIZE_GOALS, ids=["nec", "ndd", "nbin", "nid"])
@@ -271,7 +278,7 @@ def test_own_test_is_monotone_in_better_ranked_items(kind, goal):
             ranking = inst.rankings[0]
             for size in range(m + 1):
                 for items in itertools.combinations(range(m), size):
-                    if not goal.agent_accepts(inst, 0, MultiBundle.from_items(items)):
+                    if not own_test(goal, inst, 0, items):
                         continue
                     accepted += 1
                     for worse in items:
@@ -279,9 +286,9 @@ def test_own_test_is_monotone_in_better_ranked_items(kind, goal):
                             if ranking.level(better) < ranking.level(worse):
                                 continue
                             swapped = set(items) - {worse} | {better}
-                            assert goal.agent_accepts(
-                                inst, 0, MultiBundle.from_items(swapped)
-                            ), (ranking.order, n, items, worse, better)
+                            assert own_test(goal, inst, 0, swapped), (
+                                ranking.order, n, items, worse, better
+                            )
     assert accepted > 100
 
 
@@ -337,7 +344,7 @@ def test_root_rule_pins_only_what_every_accepted_allocation_gives():
                     kept = [
                         set(bundle)
                         for bundle in itertools.combinations(range(items), share)
-                        if goal.agent_accepts(inst, agent, MultiBundle.from_items(bundle))
+                        if own_test(goal, inst, agent, bundle)
                     ]
                     pins = {item for item, holder in enumerate(owner) if holder == agent}
                     assert pins == set.intersection(*kept), (inst, goal, agent)
