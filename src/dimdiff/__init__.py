@@ -17,8 +17,6 @@ from .core import (
     classify_dd,
     classify_id,
     lexicographic_utility,
-    level_prefix_sums,
-    negative_borda_utility,
 )
 from .exceptions import (
     BudgetExceededError,
@@ -93,13 +91,11 @@ __all__ = [
     "generate_profile",
     "hall_violation_holds",
     "holds",
-    "level_prefix_sums",
     "lexicographic_utility",
     "nddef_search_reduced",
     "necpr_exists",
     "nddpr_exists",
     "ndd_generator_oracle",
-    "negative_borda_utility",
     "nidpr_necessary",
     "nidpr_three_agents_special",
     "nidpr_two_agents",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 Value = Union[int, Fraction, float]
 
@@ -117,35 +117,17 @@ class MultiBundle:
     def size(self) -> int:
         return sum(c for _, c in self.counts)
 
-    def multiplicity(self, item: int) -> int:
-        for i, c in self.counts:
-            if i == item:
-                return c
-        return 0
-
     def scaled(self, factor: int) -> MultiBundle:
         """The multi-bundle holding ``factor`` copies of every item here."""
         if factor < 1:
             raise ValueError("scaling factor must be >= 1")
         return MultiBundle(tuple((i, c * factor) for i, c in self.counts))
 
-    def expand(self) -> Iterator[int]:
-        """Every item, repeated by its multiplicity."""
-        for item, count in self.counts:
-            for _ in range(count):
-                yield item
-
-    def levels(self, ranking: Ranking, *, worst_first: bool = False) -> list[int]:
-        """Item levels with multiplicity, best-first (or worst-first)."""
-        out = [ranking.level(item) for item in self.expand()]
-        out.sort(reverse=not worst_first)
+    def levels(self, ranking: Ranking) -> list[int]:
+        """Item levels with multiplicity, best-first."""
+        out = [ranking.level(item) for item, count in self.counts for _ in range(count)]
+        out.sort(reverse=True)
         return out
-
-    def __contains__(self, item: int) -> bool:
-        return self.multiplicity(item) > 0
-
-    def __len__(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -175,11 +157,9 @@ class Allocation:
     def bundle(self, agent: int) -> MultiBundle:
         return MultiBundle.from_items(self.bundles[agent])
 
-    def all_items(self) -> frozenset[int]:
-        return frozenset(item for bundle in self.bundles for item in bundle)
-
     def is_partition_of(self, item_count: int) -> bool:
-        return self.all_items() == frozenset(range(item_count)) and sum(
+        items = frozenset(item for bundle in self.bundles for item in bundle)
+        return items == frozenset(range(item_count)) and sum(
             len(b) for b in self.bundles
         ) == item_count
 
@@ -239,15 +219,6 @@ class UtilityFunction:
         """The mirrored utility: goods valuations become chores and back."""
         return UtilityFunction(tuple(-v for v in self.values))
 
-    @property
-    def sign(self) -> int:
-        """+1 if all values are positive, -1 if all negative, 0 otherwise."""
-        if all(v > 0 for v in self.values):
-            return 1
-        if all(v < 0 for v in self.values):
-            return -1
-        return 0
-
     def is_consistent_with(self, ranking: Ranking) -> bool:
         """Strict consistency: better-ranked items have strictly larger values."""
         order = ranking.order
@@ -263,26 +234,8 @@ class UtilityFunction:
 
 
 # ---------------------------------------------------------------------------
-# Operations
+# Classification
 # ---------------------------------------------------------------------------
-
-def level_prefix_sums(bundle: MultiBundle, ranking: Ranking, direction: str = "top") -> list[int]:
-    """Cumulative levels of the k best ("top") or k worst ("bottom") items.
-
-    ``result[k-1]`` is the total level of the k best (resp. worst) items of
-    the bundle, counted with multiplicity.  Copies of the same item share a
-    level, so ties between copies do not affect the sums.
-    """
-    if direction not in ("top", "bottom"):
-        raise ValueError(f"direction must be 'top' or 'bottom', got {direction!r}")
-    levels = bundle.levels(ranking, worst_first=(direction == "bottom"))
-    sums: list[int] = []
-    running = 0
-    for level in levels:
-        running += level
-        sums.append(running)
-    return sums
-
 
 def _is_float_valued(utility: UtilityFunction) -> bool:
     return any(isinstance(v, float) for v in utility.values)
@@ -328,18 +281,6 @@ def borda_utility(ranking: Ranking) -> UtilityFunction:
 def lexicographic_utility(ranking: Ranking) -> UtilityFunction:
     """u(item) = 2^level(item); orders bundles lexicographically by best items."""
     return UtilityFunction.from_level_function(ranking, lambda lev: 1 << lev)
-
-
-def negative_borda_utility(ranking: Ranking) -> UtilityFunction:
-    """u(item) = level(item) - M - 1; chore utilities -1 (easiest) .. -M."""
-    m = ranking.item_count
-    return UtilityFunction.from_level_function(ranking, lambda lev: lev - m - 1)
-
-
-def negative_lexicographic_utility(ranking: Ranking) -> UtilityFunction:
-    """u(item) = -2^(M - level(item)); ranks bundles by avoiding the worst chores."""
-    m = ranking.item_count
-    return UtilityFunction.from_level_function(ranking, lambda lev: -(1 << (m - lev)))
 
 
 def binary_threshold_utility(ranking: Ranking, threshold: int) -> UtilityFunction:

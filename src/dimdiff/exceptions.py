@@ -12,4 +12,4 @@ class UnsupportedExtensionError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A search ran out of its state or time budget; the answer is undecided."""
+    """A search ran out of its state budget; the answer is undecided."""

@@ -58,6 +58,11 @@ GOODS_RELATIONS = frozenset(
 )
 #: Relations whose utility classes consist of negative (chores) valuations.
 CHORES_RELATIONS = frozenset({RelationKind.NID, RelationKind.PID})
+#: Relations whose proportionality / envy-freeness force equal bundle sizes
+#: (their size condition makes unequal allocations infeasible outright).
+EQUAL_SIZE_RELATIONS = frozenset(
+    {RelationKind.NEC, RelationKind.NDD, RelationKind.NID, RelationKind.NBIN}
+)
 
 
 def holds(kind: RelationKind, x: MultiBundle, y: MultiBundle, ranking: Ranking) -> bool:

@@ -167,8 +167,8 @@ def allocation_to_json(alloc: Allocation, profile: NamedProfile) -> dict:
 # PrefLib strict-order import (convenience reader only)
 # ---------------------------------------------------------------------------
 
-def load_preflib_soc(path: str, kind: ItemKind = ItemKind.GOODS) -> NamedProfile:
-    """Read a PrefLib .soc file (complete strict orders) as a profile.
+def load_preflib_soc(path: str) -> NamedProfile:
+    """Read a PrefLib .soc file (complete strict orders) as a goods profile.
 
     Metadata lines start with ``#``; each data line is
     ``count: alt,alt,...`` with 1-based alternative numbers, expanded to
@@ -222,5 +222,5 @@ def load_preflib_soc(path: str, kind: ItemKind = ItemKind.GOODS) -> NamedProfile
             voter += 1
             agent_names.append(f"voter{voter}")
             rankings.append(ranking)
-    instance = Instance(kind=kind, rankings=tuple(rankings))
+    instance = Instance(ItemKind.GOODS, tuple(rankings))
     return NamedProfile(instance, item_names, tuple(agent_names))

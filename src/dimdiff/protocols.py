@@ -92,6 +92,17 @@ the levels of the reversed ranking.  So (X0, X1) is NIDPR iff (X1, X0) is
 NDDPR on the goods instance with reversed rankings: by the rule above, iff
 M is even and the worst chores (its best items) are distinct, with its
 balanced round-robin, bundles swapped, as the witness.
+
+A no names a reason, and each reason rules out the proportional
+allocations of some extensions only; :func:`certificate_holds` accepts it
+for those alone.  A divisibility failure rules out the equal-size
+extensions NEC, NDD, NBIN and NID, whose n-copied bundles must hold at
+least (NID: at most) M items each.  A shared best item rules out NEC and
+NDD (the k = 1 prefix above) and NBIN, which agrees with NEC on every pair
+of multi-bundles, but PDD only at n = M = 2.  Fewer items than agents
+rules out every goods extension, since some bundle is empty.  A Hall
+violator rules out NEC and NBIN, and an infeasible worst-window
+assignment (:func:`nidpr_necessary`) rules out NID.
 """
 
 from __future__ import annotations
@@ -104,8 +115,8 @@ from typing import Iterable, Optional
 import networkx as nx
 
 from .core import Allocation, Instance, ItemKind
-from .extensions import RelationKind
-from .fairness import check_proportional
+from .extensions import EQUAL_SIZE_RELATIONS, GOODS_RELATIONS, RelationKind
+from .fairness import _require_kind_match, check_proportional
 
 
 class Reason(Enum):
@@ -312,18 +323,33 @@ def hall_violation_holds(instance: Instance, slots: Iterable[tuple[int, int]]) -
     return len(neighbours) < len(chosen)
 
 
+#: The extensions whose proportional allocations each reason for a no rules
+#: out (see the module docstring).  A shared best item also rules out PDD at
+#: n = M = 2.
+_REFUTED_BY = {
+    Reason.NOT_MULTIPLE_OF_N: EQUAL_SIZE_RELATIONS,
+    Reason.SHARED_BEST_ITEM: frozenset({RelationKind.NEC, RelationKind.NDD, RelationKind.NBIN}),
+    Reason.FEWER_ITEMS_THAN_AGENTS: GOODS_RELATIONS,
+    Reason.HALL_VIOLATION: frozenset({RelationKind.NEC, RelationKind.NBIN}),
+    Reason.SHARED_WORST_WINDOW_INFEASIBLE: frozenset({RelationKind.NID}),
+}
+
+
 def certificate_holds(
     instance: Instance, report: ExistenceReport, extension: RelationKind
 ) -> bool:
     """Does a decisive report check against the instance?
 
     A yes must carry a partition of the items that ``check_proportional``
-    accepts under ``extension``.  A no must carry a reason that holds: n
-    does not divide M; for goods, two rankings share a best item, fewer
-    items than agents, or a Hall violator that :func:`hall_violation_holds`
-    accepts; for chores, n divides M but no allocation of M/n chores per
-    agent avoids every agent's worst-chore window.  False for an undecided
-    report and for any other reason.
+    accepts under ``extension``.  A no holds only if its reason refutes the
+    extension (the module docstring says which reason refutes which) and
+    holds on the instance: n does not divide M; two rankings share a best
+    item; fewer items than agents; a Hall violator that
+    :func:`hall_violation_holds` accepts; or n divides M but no allocation
+    of M/n chores per agent avoids every agent's worst-chore window.  False
+    for an undecided report and for any other reason.  Raises
+    ``ExtensionKindMismatchError`` when the extension does not fit the
+    instance's item kind.
     """
     n, m = instance.agent_count, instance.item_count
     if report.exists:
@@ -335,21 +361,22 @@ def certificate_holds(
         )
     if report.exists is None:
         return False
-    if report.reason is Reason.NOT_MULTIPLE_OF_N:
+    _require_kind_match(extension, instance)
+    reason = report.reason
+    if not (
+        extension in _REFUTED_BY.get(reason, ())
+        or (reason is Reason.SHARED_BEST_ITEM and extension is RelationKind.PDD and n == m == 2)
+    ):
+        return False
+    if reason is Reason.NOT_MULTIPLE_OF_N:
         return m % n != 0
-    if instance.kind is ItemKind.CHORES:
-        return (
-            report.reason is Reason.SHARED_WORST_WINDOW_INFEASIBLE
-            and m % n == 0
-            and not _avoidance_feasible(instance)
-        )
-    if report.reason is Reason.SHARED_BEST_ITEM:
+    if reason is Reason.SHARED_WORST_WINDOW_INFEASIBLE:
+        return m % n == 0 and not _avoidance_feasible(instance)
+    if reason is Reason.SHARED_BEST_ITEM:
         return len({r.best for r in instance.rankings}) < n
-    if report.reason is Reason.FEWER_ITEMS_THAN_AGENTS:
+    if reason is Reason.FEWER_ITEMS_THAN_AGENTS:
         return m < n
-    if report.reason is Reason.HALL_VIOLATION:
-        return hall_violation_holds(instance, report.hall_violator or ())
-    return False
+    return hall_violation_holds(instance, report.hall_violator or ())
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,7 @@ import numpy as np
 
 from .core import Allocation, Instance, ItemKind, Ranking
 from .exceptions import BudgetExceededError
-
-_SOLVER_STATE_LIMIT = 10_000_000
-
+from .fairness import DEFAULT_MAX_STATES
 
 @dataclass(frozen=True)
 class X3CInstance:
@@ -109,10 +107,6 @@ class X3CInstance:
         return len(self.triplets)
 
 
-def x3c_to_json(x3c: X3CInstance) -> dict:
-    return {"base_size": x3c.base_size, "triplets": [list(t) for t in x3c.triplets]}
-
-
 def x3c_from_json(payload: object) -> X3CInstance:
     """Decode ``{"base_size": int, "triplets": [[int, int, int], ...]}``."""
     if not isinstance(payload, dict) or not _is_int(payload.get("base_size")):
@@ -136,7 +130,7 @@ def solve_x3c(x3c: X3CInstance) -> Optional[tuple[int, ...]]:
     Exhaustive over all selections, first hit in lexicographic index order.
     """
     n, q = x3c.triplet_count, x3c.cover_size
-    if math.comb(n, q) > _SOLVER_STATE_LIMIT:
+    if math.comb(n, q) > DEFAULT_MAX_STATES:
         raise BudgetExceededError(f"C({n},{q}) selections exceed the solver limit")
     base = frozenset(range(x3c.base_size))
     for selection in itertools.combinations(range(n), q):

@@ -63,14 +63,8 @@ from typing import Iterator, Optional
 from . import _pairsearch
 from .core import Allocation, Instance, ItemKind, UtilityFunction
 from .exceptions import BudgetExceededError, UnsupportedExtensionError
-from .extensions import RelationKind, holds, relation_holds, share_holds
+from .extensions import EQUAL_SIZE_RELATIONS, RelationKind, holds, relation_holds, share_holds
 from .fairness import DEFAULT_MAX_STATES, _EF_EXTENSIONS, Criterion, _require_kind_match
-
-#: Extensions whose proportionality / envy-freeness force equal bundle sizes
-#: (their size condition makes unequal allocations infeasible outright).
-_EQUAL_SIZE_EXTENSIONS = frozenset(
-    {RelationKind.NEC, RelationKind.NDD, RelationKind.NID, RelationKind.NBIN}
-)
 
 _FAST_PR_RELATIONS = {
     RelationKind.NEC: "nec",
@@ -97,7 +91,7 @@ class AllocationGoal:
 
     @property
     def forces_equal_sizes(self) -> bool:
-        return self.extension in _EQUAL_SIZE_EXTENSIONS
+        return self.extension in EQUAL_SIZE_RELATIONS
 
     def satisfied_by(self, alloc: Allocation, instance: Instance) -> bool:
         """Proportionality: each agent's bundle, copied n times, relates to

@@ -22,7 +22,13 @@ Hall violator).  The chores decisions, all for the goal ``nidpr``, are
 ``nidpr_three_agents_special`` at n = 3 (their reasons: a divisibility
 failure, or no balanced allocation avoiding every agent's worst-chore
 window).  Undecided answers are counted per decision, with how many of
-them the search says exist.  The exit status is nonzero on any fault.
+them the search says exist.
+
+Each profile also gets a forged no of every reason under every goal the
+sweep searches (the Hall violator taken from ``necpr_exists``): where
+``certificate_holds`` accepts one, the search must find no allocation.
+The accepted (reason, goal) pairs are counted.  The exit status is nonzero
+on any fault.
 """
 
 import itertools
@@ -31,6 +37,8 @@ import time
 
 from dimdiff.core import Instance, ItemKind, Ranking
 from dimdiff.protocols import (
+    ExistenceReport,
+    Reason,
     certificate_holds,
     necpr_exists,
     nddpr_exists,
@@ -80,6 +88,27 @@ def faults(instance, name, decide):
     return report.exists, witness is not None, found
 
 
+def forged_faults(instance, extensions, exists):
+    """(accepted, faults) for a forged no of every reason under each of
+    ``extensions``: the (reason, extension) pairs ``certificate_holds``
+    accepts, and why an accepted pair is wrong, that is, ``exists(extension)``
+    says an allocation exists (called only for accepted pairs)."""
+    violator = None
+    if instance.kind is ItemKind.GOODS:
+        violator = necpr_exists(instance).hall_violator
+    accepted = []
+    found = []
+    for reason in Reason:
+        forged = ExistenceReport(False, reason, hall_violator=violator)
+        for extension in extensions:
+            if certificate_holds(instance, forged, extension):
+                accepted.append((reason, extension))
+                if exists(extension):
+                    found.append(f"a forged {reason.value} no checks under "
+                                 f"{extension.value}, but an allocation exists")
+    return accepted, found
+
+
 def report(agents, items, kind, decisions):
     """Sweep one (n, M, kind) and print one line of tallies, per decision."""
     start = time.time()
@@ -87,23 +116,36 @@ def report(agents, items, kind, decisions):
     exists = {decide: 0 for _, decide in decisions}
     undecided = {decide: 0 for _, decide in decisions}
     undecided_exist = {decide: 0 for _, decide in decisions}
+    forged = {}
     failures = []
     for instance in profiles(agents, items, kind):
         total += 1
+        searched_by = {}
         for name, decide in decisions:
             answer, searched, found = faults(instance, name, decide)
+            searched_by[GOALS[name].extension] = searched
             exists[decide] += searched
             if answer is None:
                 undecided[decide] += 1
                 undecided_exist[decide] += searched
             if found:
                 failures.append(([r.order for r in instance.rankings], found))
+        accepted, found = forged_faults(instance, tuple(searched_by), searched_by.__getitem__)
+        for pair in accepted:
+            forged[pair] = forged.get(pair, 0) + 1
+        if found:
+            failures.append(([r.order for r in instance.rankings], found))
     counts = ", ".join(
         f"{decide.__name__} {exists[decide]} exist, {undecided[decide]} undecided"
         f" ({undecided_exist[decide]} exist)"
         for _, decide in decisions
     )
+    checked = ", ".join(
+        f"{reason.value}/{extension.value} {count}"
+        for (reason, extension), count in forged.items()
+    )
     print(f"n={agents} M={items} {kind.value}: {total} profiles; {counts}; "
+          f"forged nos accepted: {checked or 'none'}; "
           f"{len(failures)} failures, {time.time() - start:.1f}s", flush=True)
     for failure in failures[:5]:
         print("   ", failure)

@@ -22,7 +22,6 @@ from dimdiff.core import (
     UtilityFunction,
     borda_utility,
     classify_dd,
-    level_prefix_sums,
     lexicographic_utility,
 )
 from dimdiff.extensions import (
@@ -200,8 +199,9 @@ def test_criterion_3_worked_example_fixtures():
     )
     stated = Allocation(((1,), (0,), (2,)))
     expect("3-chore NIDPR", check_proportional(stated, chores3, RelationKind.NID).result)
-    mine = level_prefix_sums(stated.bundle(0).scaled(3), chores3.rankings[0], "bottom")
-    everything = level_prefix_sums(chores3.full_bundle(), chores3.rankings[0], "bottom")
+    chooser = chores3.rankings[0]
+    mine = itertools.accumulate(stated.bundle(0).scaled(3).levels(chooser)[::-1])
+    everything = itertools.accumulate(chores3.full_bundle().levels(chooser)[::-1])
     expect("3-chore table", [p - q for p, q in zip(mine, everything)] == [1, 1, 0])
 
     _report(3, "worked-example fixtures reproduce", not failures, f" {failures or ''}")

@@ -1,10 +1,9 @@
-"""Domain types: rankings, bundles, prefix sums, utilities, classification."""
+"""Domain types: rankings, bundles, utilities, classification."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from dimdiff.core import (
     Allocation,
@@ -17,10 +16,7 @@ from dimdiff.core import (
     borda_utility,
     classify_dd,
     classify_id,
-    level_prefix_sums,
     lexicographic_utility,
-    negative_borda_utility,
-    negative_lexicographic_utility,
 )
 
 from conftest import by_levels, level_ranking, mb
@@ -58,10 +54,11 @@ def test_reversed_ranking_is_built_once():
 def test_multibundle_basics():
     b = MultiBundle.from_items([3, 1, 3])
     assert b.size == 3
-    assert b.multiplicity(3) == 2 and b.multiplicity(0) == 0
-    assert 3 in b and 0 not in b
+    assert b.counts == ((1, 1), (3, 2))
     assert b.scaled(2).size == 6
-    assert sorted(b.expand()) == [1, 3, 3]
+    assert b.levels(Ranking((3, 2, 1, 0))) == [4, 4, 2]
+    with pytest.raises(KeyError):
+        mb(9).levels(Ranking((3, 2, 1, 0)))
     with pytest.raises(ValueError):
         MultiBundle(((0, 0),))
     with pytest.raises(ValueError):
@@ -87,46 +84,6 @@ def test_instance_validation():
     inst = Instance(ItemKind.GOODS, (Ranking((0, 1)), Ranking((1, 0))))
     assert inst.agent_count == 2 and inst.item_count == 2
     assert inst.full_bundle().size == 2
-
-
-# --- level prefix sums ------------------------------------------------------
-
-def test_prefix_sums_worked_example(eight_items):
-    # X = {8,4,2}: best-two prefix is 12, below Y = {7,6}'s 13.
-    assert level_prefix_sums(by_levels(8, 4, 2), eight_items, "top") == [8, 12, 14]
-    assert level_prefix_sums(by_levels(7, 6), eight_items, "top") == [7, 13]
-
-
-def test_prefix_sums_empty(eight_items):
-    assert level_prefix_sums(MultiBundle(()), eight_items, "top") == []
-
-
-def test_prefix_sums_bottom_chore_example():
-    # Three copies of the middle chore (levels 2,2,2) against x>y>z.
-    ranking = Ranking((0, 1, 2))
-    tripled = MultiBundle.from_items([1]).scaled(3)
-    assert level_prefix_sums(tripled, ranking, "bottom") == [2, 4, 6]
-    full = MultiBundle.from_items(range(3))
-    assert level_prefix_sums(full, ranking, "bottom") == [1, 3, 6]
-
-
-def test_prefix_sums_direction_validation(eight_items):
-    with pytest.raises(ValueError):
-        level_prefix_sums(mb(0), eight_items, "sideways")
-    with pytest.raises(KeyError):
-        level_prefix_sums(mb(9), eight_items, "top")
-
-
-@given(st.data())
-def test_prefix_sums_monotone_and_full_identity(data):
-    m = data.draw(st.integers(1, 8))
-    order = data.draw(st.permutations(range(m)))
-    ranking = Ranking(tuple(order))
-    items = data.draw(st.lists(st.integers(0, m - 1), max_size=10))
-    sums = level_prefix_sums(MultiBundle.from_items(items), ranking, "top")
-    assert all(a < b for a, b in zip(sums, sums[1:])) or len(sums) <= 1
-    full = level_prefix_sums(MultiBundle.from_items(range(m)), ranking, "top")
-    assert full == [sum(m - j for j in range(k + 1)) for k in range(m)]
 
 
 # --- utilities --------------------------------------------------------------
@@ -155,8 +112,9 @@ def test_classification_families(eight_items):
     m = eight_items.item_count
     assert classify_dd(borda_utility(eight_items), eight_items)
     assert classify_dd(lexicographic_utility(eight_items), eight_items)
-    assert classify_id(negative_borda_utility(eight_items), eight_items)
-    assert classify_id(negative_lexicographic_utility(eight_items), eight_items)
+    # Negated under the reversed ranking, the same families are chore utilities.
+    assert classify_id(-borda_utility(eight_items.reversed()), eight_items)
+    assert classify_id(-lexicographic_utility(eight_items.reversed()), eight_items)
     # An arithmetic progression has both properties; their intersection.
     linear = UtilityFunction.from_level_function(eight_items, lambda lev: 3 * lev + 1)
     assert classify_dd(linear, eight_items) and classify_id(linear, eight_items)
@@ -185,8 +143,3 @@ def test_float_tolerance_in_classification():
     exact = UtilityFunction((Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
     assert classify_dd(exact, r) and not classify_id(exact, r)
 
-
-def test_sign():
-    assert UtilityFunction((1, 2)).sign == 1
-    assert UtilityFunction((-2, -1)).sign == -1
-    assert UtilityFunction((-1, 1)).sign == 0

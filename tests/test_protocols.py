@@ -1,12 +1,13 @@
 """Round-robin protocol, existence conditions, and the chores protocols."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimdiff.core import Allocation, Instance, ItemKind, Ranking, level_prefix_sums
-from dimdiff.extensions import RelationKind
+from dimdiff.core import Allocation, Instance, ItemKind, Ranking
+from dimdiff.extensions import CHORES_RELATIONS, RelationKind
 from dimdiff.fairness import Criterion, check_proportional
 from dimdiff.protocols import (
     ExistenceReport,
@@ -23,7 +24,7 @@ from dimdiff.protocols import (
     pospr_exists,
 )
 from dimdiff.search import AllocationGoal, exists_allocation
-from sweep_existence import DECISIONS, faults, profiles
+from sweep_existence import DECISIONS, faults, forged_faults, profiles
 
 
 def random_instance(rng, agents, items, kind=ItemKind.GOODS):
@@ -37,8 +38,8 @@ def accumulated_differences(alloc, instance, agent):
     n = instance.agent_count
     scaled = alloc.bundle(agent).scaled(n)
     ranking = instance.rankings[agent]
-    mine = level_prefix_sums(scaled, ranking, "top")
-    everything = level_prefix_sums(instance.full_bundle(), ranking, "top")
+    mine = itertools.accumulate(scaled.levels(ranking))
+    everything = itertools.accumulate(instance.full_bundle().levels(ranking))
     return [a - b for a, b in zip(mine, everything)]
 
 
@@ -199,6 +200,41 @@ def test_certificate_holds_rejects_false_certificates():
     assert certificate_holds(same_worst, worst, nid)
     assert not certificate_holds(distinct_worst, worst, nid)
     assert certificate_holds(distinct_worst, nidpr_two_agents(distinct_worst), nid)
+
+
+#: The (reason, extension) pairs a no may carry: each reason rules out the
+#: proportional allocations of these extensions, and of no others.
+REFUTING_PAIRS = {
+    (reason, RelationKind[name])
+    for reason, names in (
+        (Reason.NOT_MULTIPLE_OF_N, ("NEC", "NDD", "NBIN", "NID")),
+        (Reason.SHARED_BEST_ITEM, ("NEC", "NDD", "NBIN", "PDD")),  # PDD at n = M = 2
+        (Reason.FEWER_ITEMS_THAN_AGENTS, ("NEC", "NDD", "NBIN", "PDD", "POS", "PBIN")),
+        (Reason.HALL_VIOLATION, ("NEC", "NBIN")),
+        (Reason.SHARED_WORST_WINDOW_INFEASIBLE, ("NID",)),
+    )
+    for name in names
+}
+
+
+def test_forged_nos_check_only_where_no_allocation_exists():
+    # Every reason forged under every extension of the profile's kind, on
+    # every profile at n = 2, M <= 5 and n = 3, M <= 4.
+    accepted = set()
+    for agents, limit in ((2, 5), (3, 4)):
+        for items in range(1, limit + 1):
+            for kind in ItemKind:
+                chores = kind is ItemKind.CHORES
+                extensions = [e for e in RelationKind if (e in CHORES_RELATIONS) == chores]
+                for instance in profiles(agents, items, kind):
+                    def exists(extension, instance=instance):
+                        goal = AllocationGoal(Criterion.PROPORTIONALITY, extension)
+                        return exists_allocation(instance, goal) is not None
+
+                    pairs, found = forged_faults(instance, extensions, exists)
+                    assert not found, ([r.order for r in instance.rankings], found)
+                    accepted.update(pairs)
+    assert accepted == REFUTING_PAIRS
 
 
 # --- PosPR and PDDPR existence -----------------------------------------------
