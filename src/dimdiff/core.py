@@ -29,10 +29,14 @@ class ItemKind(Enum):
 
 @dataclass(frozen=True)
 class Ranking:
-    """A strict total order over items ``0..M-1``, best item first."""
+    """A strict total order over items ``0..M-1``, best item first.
+
+    ``levels[item]`` is the item's level, as :meth:`level` returns it
+    without the range check.
+    """
 
     order: tuple[int, ...]
-    _levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _reversed: Optional[Ranking] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -46,7 +50,7 @@ class Ranking:
         levels = [0] * m
         for position, item in enumerate(order):
             levels[item] = m - position
-        object.__setattr__(self, "_levels", tuple(levels))
+        object.__setattr__(self, "levels", tuple(levels))
 
     @property
     def item_count(self) -> int:
@@ -64,7 +68,7 @@ class Ranking:
         """Level of ``item``: ``M`` for the best item down to 1 for the worst."""
         if not 0 <= item < len(self.order):
             raise KeyError(f"unknown item {item!r}")
-        return self._levels[item]
+        return self.levels[item]
 
     def worst_items(self, count: int) -> frozenset[int]:
         """The ``count`` least-preferred items."""
@@ -137,18 +141,19 @@ class Allocation:
     bundles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        bundles = tuple(tuple(sorted(b)) for b in self.bundles)
+        bundles = tuple([tuple(sorted(b)) for b in self.bundles])
         object.__setattr__(self, "bundles", bundles)
-        seen: set[int] = set()
-        for bundle in bundles:
-            for item in bundle:
-                if item in seen:
-                    raise ValueError(f"item {item} assigned to more than one agent")
-                seen.add(item)
+        if len(set().union(*bundles)) < sum(map(len, bundles)):
+            seen: set[int] = set()
+            for bundle in bundles:
+                for item in bundle:
+                    if item in seen:
+                        raise ValueError(f"item {item} assigned to more than one agent")
+                    seen.add(item)
 
     @classmethod
     def from_lists(cls, bundles: Iterable[Iterable[int]]) -> Allocation:
-        return cls(tuple(tuple(b) for b in bundles))
+        return cls(tuple(bundles))
 
     @property
     def agent_count(self) -> int:
@@ -158,10 +163,8 @@ class Allocation:
         return MultiBundle.from_items(self.bundles[agent])
 
     def is_partition_of(self, item_count: int) -> bool:
-        items = frozenset(item for bundle in self.bundles for item in bundle)
-        return items == frozenset(range(item_count)) and sum(
-            len(b) for b in self.bundles
-        ) == item_count
+        # The bundles are disjoint (checked at construction).
+        return set().union(*self.bundles) == set(range(item_count))
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,8 @@ class Instance:
 
     kind: ItemKind
     rankings: tuple[Ranking, ...]
+    agent_count: int = field(init=False, repr=False, compare=False)
+    item_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rankings = tuple(self.rankings)
@@ -179,14 +184,8 @@ class Instance:
         m = rankings[0].item_count
         if any(r.item_count != m for r in rankings):
             raise ValueError("all rankings must order the same item set")
-
-    @property
-    def agent_count(self) -> int:
-        return len(self.rankings)
-
-    @property
-    def item_count(self) -> int:
-        return self.rankings[0].item_count
+        object.__setattr__(self, "agent_count", len(rankings))
+        object.__setattr__(self, "item_count", m)
 
     def full_bundle(self) -> MultiBundle:
         """One copy of every item."""
@@ -247,15 +246,17 @@ def classify_dd(utility: UtilityFunction, ranking: Ranking) -> bool:
     Diminishing differences: for consecutive levels the gap at the top is at
     least the gap immediately below it.
     """
-    if not utility.is_consistent_with(ranking):
-        return False
     tol = FLOAT_TOLERANCE if _is_float_valued(utility) else 0
+    values = utility.values
     order = ranking.order
-    for j in range(len(order) - 2):
-        top_gap = utility.value(order[j]) - utility.value(order[j + 1])
-        bottom_gap = utility.value(order[j + 1]) - utility.value(order[j + 2])
-        if top_gap < bottom_gap - tol:
+    top_gap = None
+    for better, worse in zip(order, order[1:]):
+        if not values[better] > values[worse]:
             return False
+        gap = values[better] - values[worse]
+        if top_gap is not None and top_gap < gap - tol:
+            return False
+        top_gap = gap
     return True
 
 

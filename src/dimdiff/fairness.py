@@ -144,9 +144,20 @@ def check_proportional(
     if not isinstance(extension, RelationKind):
         profile = tuple(extension)
         _require_profile(profile, instance)
-        everything = instance.full_bundle()
+        m = instance.item_count
         for agent, utility in enumerate(profile):
-            if n * utility.of(alloc.bundle(agent)) < utility.of(everything):
+            values = utility.values
+            if len(values) < m:
+                raise KeyError(f"no utility value for item {len(values)!r}")
+            # Plain left-to-right sums in item order, so that no verdict
+            # depends on the Python version: from 3.12 on, sum() compensates
+            # the rounding of floats.
+            own = everything = 0
+            for item in alloc.bundles[agent]:
+                own += values[item]
+            for item in range(m):
+                everything += values[item]
+            if n * own < everything:
                 return FairnessVerdict(
                     Criterion.PROPORTIONALITY, None, False,
                     ProportionalityViolation(agent),
@@ -157,7 +168,8 @@ def check_proportional(
     m = instance.item_count
     for agent in range(n):
         ranking = instance.rankings[agent]
-        levels = sorted(map(ranking.level, alloc.bundles[agent]), reverse=True)
+        table = ranking.levels
+        levels = sorted([table[item] for item in alloc.bundles[agent]], reverse=True)
         if not share_holds(extension, levels, n, m):
             witness = None
             if extension in REFUTABLE_RELATIONS:

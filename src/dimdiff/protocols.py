@@ -157,17 +157,21 @@ def balanced_round_robin(instance: Instance) -> Allocation:
     n, m = instance.agent_count, instance.item_count
     if m % n:
         raise ValueError(f"{m} items cannot be split evenly among {n} agents")
+    orders = [ranking.order for ranking in instance.rankings]
     taken = [False] * m
+    first = [0] * n  # every item before first[agent] in the agent's order is taken
     bundles: list[list[int]] = [[] for _ in range(n)]
     forward = list(range(n))
     picks = itertools.cycle(forward + forward[::-1])
     for _ in range(m):
         agent = next(picks)
-        for item in instance.rankings[agent].order:
-            if not taken[item]:
-                taken[item] = True
-                bundles[agent].append(item)
-                break
+        order = orders[agent]
+        position = first[agent]
+        while taken[order[position]]:
+            position += 1
+        first[agent] = position + 1
+        taken[order[position]] = True
+        bundles[agent].append(order[position])
     return Allocation.from_lists(bundles)
 
 
@@ -196,10 +200,12 @@ def _serial_picks(instance: Instance) -> Allocation:
     taken = [False] * m
     bundles: list[list[int]] = [[] for _ in range(n)]
     for agent, ranking in enumerate(instance.rankings):
-        item = next(i for i in ranking.order if not taken[i])
+        for item in ranking.order:  # a free item remains, as M >= n
+            if not taken[item]:
+                break
         taken[item] = True
         bundles[agent].append(item)
-    bundles[-1].extend(i for i in range(m) if not taken[i])
+    bundles[-1] += [i for i in range(m) if not taken[i]]
     return Allocation.from_lists(bundles)
 
 
@@ -285,21 +291,32 @@ def necpr_exists(instance: Instance) -> ExistenceReport:
     n, m = instance.agent_count, instance.item_count
     if m % n:
         return ExistenceReport(False, Reason.NOT_MULTIPLE_OF_N)
-    slots = [(agent, j) for j in range(1, m // n + 1) for agent in range(n)]
-    tops = [instance.rankings[agent].order[: (j - 1) * n + 1] for agent, j in slots]
+    # Slot s is (s % n, s // n + 1): agent s % n may take its top s - s % n + 1.
+    orders = [ranking.order for ranking in instance.rankings]
     owner: list[Optional[int]] = [None] * m
-    for slot, top in enumerate(tops):
-        free = next((item for item in top if owner[item] is None), None)
-        if free is not None:  # the common case, without a search
-            owner[free] = slot
+    # Every item before first[agent] in the agent's order is matched; matched
+    # items stay matched, so the pointer only moves down.
+    first = [0] * n
+    tops: Optional[list[tuple[int, ...]]] = None  # built for the first search
+    for slot in range(m):
+        agent = slot % n
+        order = orders[agent]
+        position = first[agent]
+        while owner[order[position]] is not None:  # slot < m items are matched
+            position += 1
+        first[agent] = position
+        if position <= slot - agent:  # the common case, without a search
+            owner[order[position]] = slot
             continue
+        if tops is None:
+            tops = [orders[s % n][: s - s % n + 1] for s in range(m)]
         reached = _augment(slot, tops, owner)
         if reached:
-            violator = tuple(sorted(slots[s] for s in reached))
+            violator = tuple(sorted((s % n, s // n + 1) for s in reached))
             return ExistenceReport(False, Reason.HALL_VIOLATION, hall_violator=violator)
     bundles: list[list[int]] = [[] for _ in range(n)]
     for item, slot in enumerate(owner):
-        bundles[slots[slot][0]].append(item)
+        bundles[slot % n].append(item)
     return ExistenceReport(True, Reason.CONDITIONS_MET, Allocation.from_lists(bundles))
 
 

@@ -305,7 +305,7 @@ def _first_witness(
         count(_balanced_completions(capacity))
         return None
     # level[agent][item]: the item's level under the agent's ranking.
-    level = [[ranking.level(item) for item in range(m)] for ranking in instance.rankings]
+    level = [ranking.levels for ranking in instance.rankings]
     # best_from[agent][d]: the agent's levels of items d..M-1, best-first.
     best_from = [[sorted(row[d:], reverse=True) for d in range(m + 1)] for row in level]
     held: list[list[int]] = [[] for _ in range(n)]

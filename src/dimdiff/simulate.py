@@ -17,7 +17,8 @@ violator) holds.  The possible and possibly-DD columns come from the closed
 forms ``pospr_exists`` and ``pddpr_exists`` whenever they are decisive,
 which is every trial except those of three or more agents sharing a best
 item; only those fall back to exhaustive search, so no two-agent trial
-searches.
+searches.  Trials do not check the pospr and pddpr witnesses; the tests
+certify them on seeded trials of every cell of the full grid.
 """
 
 from __future__ import annotations
@@ -121,9 +122,19 @@ def trial_rng(seed: int, noise_index: int, m_index: int, trial: int) -> np.rando
     so cells and trials can run in any order or in parallel without changing
     a single draw.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence((seed, noise_index, m_index, trial))
-    )
+    # SeedSequence reads a tuple of ints as the 32-bit words of each, least
+    # significant first (0 as one zero word).  Handing it those words as one
+    # uint32 array gives the same pool without its per-part conversion.
+    words = []
+    for part in (seed, noise_index, m_index, trial):
+        if part < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(part & 0xFFFFFFFF)
+        part >>= 32
+        while part:
+            words.append(part & 0xFFFFFFFF)
+            part >>= 32
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def generate_profile(
@@ -139,10 +150,8 @@ def generate_profile(
     item_count = 2 * m
     market = rng.uniform(1.0, 2.0, item_count)
     values = market[None, :] + rng.uniform(-noise, noise, (agents, item_count))
-    rankings = tuple(
-        Ranking(tuple(int(i) for i in np.argsort(-values[a], kind="stable")))
-        for a in range(agents)
-    )
+    orders = np.argsort(-values, axis=1, kind="stable").tolist()
+    rankings = tuple(Ranking(tuple(order)) for order in orders)
     return values, Instance(ItemKind.GOODS, rankings)
 
 
@@ -188,11 +197,9 @@ def run_trial(
     report = reports["nddpr"]
     if report.exists:
         allocation = report.allocation
-        profile = tuple(UtilityFunction(tuple(values[a])) for a in range(agents))
+        profile = tuple(map(UtilityFunction, values.tolist()))
         rr_proportional = check_proportional(allocation, instance, profile).result
-        if all(
-            classify_dd(profile[a], instance.rankings[a]) for a in range(agents)
-        ) and not rr_proportional:
+        if not rr_proportional and all(map(classify_dd, profile, instance.rankings)):
             # Guaranteed exactly when the sampled cardinal profile lands in
             # the diminishing-differences class.
             raise AssertionError("cardinal DD profile contradicts the NDD guarantee")

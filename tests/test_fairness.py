@@ -1,6 +1,7 @@
 """Fairness verdicts: proportionality, envy-freeness, Pareto efficiency."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -128,6 +129,46 @@ def test_concrete_profile_consistency():
             u = verdict.certificate.refuting_utility
             agent = verdict.certificate.agent
             assert 2 * u.of(alloc.bundle(agent)) < u.of(inst.full_bundle())
+
+
+def test_concrete_proportionality_adds_like_utility_of():
+    # check_proportional sums a profile's values itself; its verdicts must be
+    # those of n * u.of(bundle) < u.of(everything), with no tolerance.
+    def by_utility_of(alloc, inst, profile):
+        n, everything = inst.agent_count, inst.full_bundle()
+        return next(
+            (agent for agent, u in enumerate(profile)
+             if n * u.of(alloc.bundle(agent)) < u.of(everything)),
+            None,
+        )
+
+    def verdict(alloc, inst, profile):
+        result = check_proportional(alloc, inst, profile)
+        assert result.result == (result.certificate is None)
+        return None if result.result else result.certificate.agent
+
+    rng = random.Random(20)
+    for _ in range(400):
+        agents, items = rng.randint(2, 4), rng.randint(2, 12)
+        inst = random_goods_instance(rng, agents, items)
+        alloc = random_allocation(rng, agents, items, equal=items % agents == 0)
+        extra = rng.choice((0, 0, 3))  # a utility may list more values than items
+        floats = [UtilityFunction([rng.uniform(0.5, 2.5) for _ in range(items + extra)])
+                  for _ in range(agents)]
+        fractions = [UtilityFunction([Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                      for _ in range(items + extra)])
+                     for _ in range(agents)]
+        for profile in (floats, fractions):
+            assert verdict(alloc, inst, profile) == by_utility_of(alloc, inst, profile)
+
+    # The sums run left to right in item order: 0.3 + 0.1 + 0.2 rounds to
+    # just above 0.6 = 2 * 0.3, so agent 0 falls short, however Python's sum()
+    # would add the floats.
+    inst = Instance(ItemKind.GOODS, (Ranking((0, 1, 2)), Ranking((2, 1, 0))))
+    tie = UtilityFunction((0.3, 0.1, 0.2))
+    assert verdict(Allocation(((0,), (1, 2))), inst, [tie, tie]) == 0
+    with pytest.raises(KeyError):  # a utility with fewer values than items
+        check_proportional(Allocation(((0,), (1, 2))), inst, [UtilityFunction((1, 2)), tie])
 
 
 def test_proportional_kind_mismatch():

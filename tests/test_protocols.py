@@ -1,5 +1,6 @@
 """Round-robin protocol, existence conditions, and the chores protocols."""
 
+import hashlib
 import itertools
 import random
 
@@ -340,6 +341,44 @@ def test_necpr_matching_augments_past_a_greedy_pick():
     assert report.exists is True
     assert report.allocation.bundles == ((0, 3), (1, 2))
     assert check_proportional(report.allocation, instance, RelationKind.NEC).result
+
+
+#: SHA-256 of the four goods decisions' reports on golden_profiles(),
+#: recorded before their picking loops moved to per-agent pointers.
+GOODS_DECISIONS_SHA256 = "b727483e79c40332bf647a35afe302776677be2acc1c5f2129350b027bec24a7"
+
+
+def golden_profiles():
+    """24 seeded profiles per (n, M), n = 2..4, M = 2..16: uniform rankings
+    and, alternately, adjacent-swap perturbations of one shared order."""
+    for n in range(2, 5):
+        for m in range(2, 17):
+            rng = random.Random(f"decisions/{n}/{m}")
+            for k in range(24):
+                if k % 2:
+                    base = rng.sample(range(m), m)
+                    orders = []
+                    for _ in range(n):
+                        order = list(base)
+                        for _ in range(rng.randrange(m)):
+                            p = rng.randrange(m - 1)
+                            order[p], order[p + 1] = order[p + 1], order[p]
+                        orders.append(tuple(order))
+                else:
+                    orders = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+                yield Instance(ItemKind.GOODS, tuple(map(Ranking, orders)))
+
+
+def test_goods_decisions_match_their_golden_reports():
+    digest = hashlib.sha256()
+    for instance in golden_profiles():
+        for decide in (necpr_exists, nddpr_exists, pddpr_exists, pospr_exists):
+            report = decide(instance)
+            bundles = None if report.allocation is None else report.allocation.bundles
+            digest.update(repr(
+                (report.exists, report.reason.value, bundles, report.hall_violator)
+            ).encode())
+    assert digest.hexdigest() == GOODS_DECISIONS_SHA256
 
 
 # --- chores: necessary condition --------------------------------------------

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from dimdiff import simulate
-from dimdiff.core import ItemKind
-from dimdiff.protocols import ExistenceReport, Reason
+from dimdiff.core import ItemKind, UtilityFunction, classify_dd
+from dimdiff.fairness import Criterion, FairnessVerdict, ProportionalityViolation
+from dimdiff.protocols import (
+    ExistenceReport,
+    Reason,
+    certificate_holds,
+    pddpr_exists,
+    pospr_exists,
+)
+from dimdiff.search import GOALS
 from dimdiff.simulate import (
     CSV_HEADER,
     SimConfig,
@@ -164,3 +172,46 @@ def test_two_agent_trials_never_search(monkeypatch):
     monkeypatch.setattr(simulate, "exists_allocation", no_search)
     cells = run_experiment(small_config(trials=20))
     assert len(cells) == 4
+
+
+def test_trial_rng_is_the_seed_sequence_of_the_tuple():
+    for value in (0, 2**32 - 1, 2**32, 2**64 + 5, 10**30):
+        for place in range(4):
+            parts = [7, 1, 2, 3]
+            parts[place] = value
+            rng = trial_rng(*parts)
+            reference = np.random.SeedSequence(tuple(parts))
+            assert (rng.bit_generator.seed_seq.pool == reference.pool).all()
+            assert (rng.random(4) == np.random.default_rng(reference).random(4)).all()
+            parts[place] = -1
+            with pytest.raises(ValueError):
+                trial_rng(*parts)
+
+
+def test_cardinal_dd_audit_fires_on_a_false_verdict(monkeypatch):
+    # Trial 63 at m = 2, A = 0.5 draws two utilities with diminishing
+    # differences and distinct best items, so round-robin must be
+    # proportional under them; a verdict that says otherwise stops the trial.
+    values, instance = generate_profile(2, 0.5, trial_rng(1, 0, 0, 63))
+    assert all(map(classify_dd, map(UtilityFunction, values.tolist()), instance.rankings))
+    assert run_trial(2, 0.5, trial_rng(1, 0, 0, 63)).rr_cardinal_proportional
+    refused = FairnessVerdict(
+        Criterion.PROPORTIONALITY, None, False, ProportionalityViolation(0)
+    )
+    monkeypatch.setattr(simulate, "check_proportional", lambda *args: refused)
+    with pytest.raises(AssertionError, match="contradicts the NDD guarantee"):
+        run_trial(2, 0.5, trial_rng(1, 0, 0, 63))
+
+
+def test_possible_witnesses_certify_on_grid_sized_trials():
+    # run_trial certifies only the necpr and nddpr columns; the pospr and
+    # pddpr witnesses of every A and m of the full grid are checked here.
+    config = full_grid_config(seed=3)
+    for ai, noise in enumerate(config.noise_levels):
+        for mi, m in enumerate(config.item_pair_counts):
+            for trial in range(4):
+                _, instance = generate_profile(m, noise, trial_rng(3, ai, mi, trial))
+                for name, decide in (("pospr", pospr_exists), ("pddpr", pddpr_exists)):
+                    report = decide(instance)
+                    assert report.exists
+                    assert certificate_holds(instance, report, GOALS[name].extension), name
