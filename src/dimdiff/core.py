@@ -13,13 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import fsum, isfinite
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 Value = Union[int, Fraction, float]
-
-#: Absolute tolerance used when classifying float-valued utilities.
-#: Exact (int / Fraction) utilities are classified with exact comparisons.
-FLOAT_TOLERANCE = 1e-12
 
 
 class ItemKind(Enum):
@@ -196,14 +193,22 @@ class Instance:
 class UtilityFunction:
     """An additive item-utility function, dense over items ``0..M-1``.
 
-    Exact values (int / Fraction) are used on oracle paths, 64-bit floats on
-    simulation paths; the classification helpers honour both.
+    Values are ints, Fractions or finite floats; NaN and +-inf raise
+    ``ValueError``.  Verdicts read a float as the exact binary value it
+    holds, so 0.1 + 0.4 > 0.5 (see :meth:`compare`); Fractions give decimal
+    ties.
     """
 
     values: tuple[Value, ...]
+    _float_only: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        floats = [v for v in values if isinstance(v, float)]
+        if not all(map(isfinite, floats)):
+            raise ValueError(f"utility values must be finite, got {values!r}")
+        object.__setattr__(self, "_float_only", len(floats) == len(values))
 
     def value(self, item: int) -> Value:
         if not 0 <= item < len(self.values):
@@ -214,17 +219,30 @@ class UtilityFunction:
         """Utility of a multi-bundle: the multiplicity-weighted sum."""
         return sum(count * self.value(item) for item, count in bundle.counts)
 
+    def compare(self, plus: Iterable[int], minus: Iterable[int]) -> int:
+        """The exact sign (1, 0 or -1) of u(plus) - u(minus).
+
+        ``plus`` and ``minus`` list items; an item listed k times counts k
+        times.  On floats alone this is the sign of one ``math.fsum``, which
+        rounds the exact sum once and so keeps its sign.  Otherwise every
+        value is read as a Fraction, a float as its exact binary value.
+        """
+        values = self.values
+        terms = [values[i] for i in plus] + [-values[i] for i in minus]
+        try:
+            total = fsum(terms) if self._float_only else sum(map(Fraction, terms))
+        except OverflowError:  # a partial float sum left the float range
+            total = sum(map(Fraction, terms))
+        return int(total > 0) - int(total < 0)  # numpy values compare to numpy bools
+
     def __neg__(self) -> UtilityFunction:
         """The mirrored utility: goods valuations become chores and back."""
         return UtilityFunction(tuple(-v for v in self.values))
 
     def is_consistent_with(self, ranking: Ranking) -> bool:
         """Strict consistency: better-ranked items have strictly larger values."""
-        order = ranking.order
-        return all(
-            self.values[order[j]] > self.values[order[j + 1]]
-            for j in range(len(order) - 1)
-        )
+        values, order = self.values, ranking.order
+        return all(values[better] > values[worse] for better, worse in zip(order, order[1:]))
 
     @classmethod
     def from_level_function(cls, ranking: Ranking, fn: Callable[[int], Value]) -> UtilityFunction:
@@ -236,28 +254,21 @@ class UtilityFunction:
 # Classification
 # ---------------------------------------------------------------------------
 
-def _is_float_valued(utility: UtilityFunction) -> bool:
-    return any(isinstance(v, float) for v in utility.values)
-
-
 def classify_dd(utility: UtilityFunction, ranking: Ranking) -> bool:
     """True iff the utility is consistent and has diminishing differences.
 
     Diminishing differences: for consecutive levels the gap at the top is at
-    least the gap immediately below it.
+    least the gap immediately below it, that is a - 2b + c >= 0 for the
+    values of every three consecutive items in rank order.  Decided exactly
+    by :meth:`UtilityFunction.compare`, with no tolerance.
     """
-    tol = FLOAT_TOLERANCE if _is_float_valued(utility) else 0
-    values = utility.values
+    if not utility.is_consistent_with(ranking):
+        return False
     order = ranking.order
-    top_gap = None
-    for better, worse in zip(order, order[1:]):
-        if not values[better] > values[worse]:
-            return False
-        gap = values[better] - values[worse]
-        if top_gap is not None and top_gap < gap - tol:
-            return False
-        top_gap = gap
-    return True
+    return all(
+        utility.compare((better, worse), (middle, middle)) >= 0
+        for better, middle, worse in zip(order, order[1:], order[2:])
+    )
 
 
 def classify_id(utility: UtilityFunction, ranking: Ranking) -> bool:

@@ -345,18 +345,13 @@ def sampled_utility_refuter(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if kind is RelationKind.NBIN:
-        for k in range(1, ranking.item_count + 1):
-            utility = binary_threshold_utility(ranking, k)
-            if utility.of(x) < utility.of(y):
-                return utility
-        return None
-    try:
-        sampler = _SAMPLERS[kind]
-    except KeyError:
-        raise ValueError(f"no utility sampler for {kind}") from None
-    rng = random.Random(seed)
-    for _ in range(samples):
-        utility = sampler(ranking, rng)
-        if utility.of(x) < utility.of(y):
-            return utility
-    return None
+        thresholds = range(1, ranking.item_count + 1)
+        candidates = (binary_threshold_utility(ranking, k) for k in thresholds)
+    elif kind in _SAMPLERS:
+        rng = random.Random(seed)
+        candidates = (_SAMPLERS[kind](ranking, rng) for _ in range(samples))
+    else:
+        raise ValueError(f"no utility sampler for {kind}")
+    plus = [item for item, count in x.counts for _ in range(count)]
+    minus = [item for item, count in y.counts for _ in range(count)]
+    return next((u for u in candidates if u.compare(plus, minus) < 0), None)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -120,9 +122,14 @@ def _require_kind_match(extension: RelationKind, instance: Instance) -> None:
         )
 
 
-def _require_profile(profile: Profile, instance: Instance) -> None:
+def _require_profile(extension: Profile, instance: Instance) -> tuple[UtilityFunction, ...]:
+    profile = tuple(extension)
     if len(profile) != instance.agent_count:
         raise ValueError("profile must supply one utility function per agent")
+    for utility in profile:
+        if len(utility.values) < instance.item_count:
+            raise KeyError(f"no utility value for item {len(utility.values)!r}")
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -135,29 +142,19 @@ def check_proportional(
     """Is the allocation proportional under the extension (or concrete profile)?
 
     Extension semantics: agent i's bundle copied n times must relate to the
-    full item set under the chosen relation and i's own ranking.  On failure
-    the verdict names the first violating agent, with an explicit refuting
+    full item set under the chosen relation and i's own ranking.  Under a
+    concrete profile, agent i needs n * u_i(own bundle) >= u_i(all items),
+    decided exactly by :meth:`UtilityFunction.compare`.  On failure the
+    verdict names the first violating agent, with an explicit refuting
     utility for the NEC / NDD / NID extensions.
     """
     _require_partition(alloc, instance)
     n = instance.agent_count
     if not isinstance(extension, RelationKind):
-        profile = tuple(extension)
-        _require_profile(profile, instance)
-        m = instance.item_count
+        profile = _require_profile(extension, instance)
+        everything = range(instance.item_count)
         for agent, utility in enumerate(profile):
-            values = utility.values
-            if len(values) < m:
-                raise KeyError(f"no utility value for item {len(values)!r}")
-            # Plain left-to-right sums in item order, so that no verdict
-            # depends on the Python version: from 3.12 on, sum() compensates
-            # the rounding of floats.
-            own = everything = 0
-            for item in alloc.bundles[agent]:
-                own += values[item]
-            for item in range(m):
-                everything += values[item]
-            if n * own < everything:
+            if utility.compare(alloc.bundles[agent] * n, everything) < 0:
                 return FairnessVerdict(
                     Criterion.PROPORTIONALITY, None, False,
                     ProportionalityViolation(agent),
@@ -195,6 +192,8 @@ def check_envy_free(
 ) -> FairnessVerdict:
     """Is the allocation envy-free under NEC / NDD or a concrete profile?
 
+    Under a concrete profile, agent i envies j when u_i(own bundle) <
+    u_i(j's bundle), decided exactly by :meth:`UtilityFunction.compare`.
     Only the "necessary" goods extensions admit a pairwise test.  The
     possible-style extensions (PDD and friends) need a single profile working
     for all pairs simultaneously, which no pairwise relation captures; they
@@ -204,12 +203,10 @@ def check_envy_free(
     _require_partition(alloc, instance)
     n = instance.agent_count
     if not isinstance(extension, RelationKind):
-        profile = tuple(extension)
-        _require_profile(profile, instance)
-        own = [profile[i].of(alloc.bundle(i)) for i in range(n)]
+        profile = _require_profile(extension, instance)
         for i in range(n):
             for j in range(n):
-                if i != j and own[i] < profile[i].of(alloc.bundle(j)):
+                if i != j and profile[i].compare(alloc.bundles[i], alloc.bundles[j]) < 0:
                     return FairnessVerdict(
                         Criterion.ENVY_FREENESS, None, False, EnvyWitness(i, j)
                     )
@@ -253,7 +250,8 @@ def check_pareto(
     * POS / PDD: possible-efficiency.  Equivalent tests; decided by a
       brute-force dominance search under the lexicographic profile
       u_i(x) = 2^level_i(x), whose verdict settles the whole class.
-    * A concrete profile: direct dominance search under those utilities.
+    * A concrete profile: direct dominance search under those utilities,
+      read exactly (each agent's values scaled to integers).
 
     The dominance search enumerates all n^M allocations; beyond ``budget``
     states it raises :class:`BudgetExceededError` rather than guessing.
@@ -270,8 +268,7 @@ def check_pareto(
         relation = extension
         profile = tuple(lexicographic_utility(r) for r in instance.rankings)
     else:
-        profile = tuple(extension)
-        _require_profile(profile, instance)
+        profile = _require_profile(extension, instance)
 
     dominator = _find_dominating_allocation(alloc, instance, profile, budget)
     if dominator is not None:
@@ -340,24 +337,27 @@ def _find_dominating_allocation(
         raise BudgetExceededError(
             f"pareto dominance search needs {n**m} states, budget is {budget}"
         )
-    targets = [profile[i].of(alloc.bundle(i)) for i in range(n)]
-    values = [[profile[i].value(item) for item in range(m)] for i in range(n)]
+    # Each agent's values times their common denominator: exact integers,
+    # with a float read as its exact binary value.
+    values = []
+    for utility in profile:
+        ratios = [Fraction(v).as_integer_ratio() for v in utility.values[:m]]
+        scale = lcm(*(den for _, den in ratios))
+        values.append([num * (scale // den) for num, den in ratios])
+    targets = [sum(values[i][item] for item in alloc.bundles[i]) for i in range(n)]
     # best_remaining[i][d]: the most agent i can still gain from items d..M-1.
     best_remaining = [[0] * (m + 1) for _ in range(n)]
     for i in range(n):
         for d in range(m - 1, -1, -1):
-            gain = values[i][d] if values[i][d] > 0 else 0
-            best_remaining[i][d] = best_remaining[i][d + 1] + gain
+            best_remaining[i][d] = best_remaining[i][d + 1] + max(values[i][d], 0)
 
     current = [0] * n
     assignment = [0] * m
 
     def dfs(depth: int) -> Optional[Allocation]:
         if depth == m:
-            # Strict improvement for someone rules out alloc itself.
-            if all(current[i] >= targets[i] for i in range(n)) and any(
-                current[i] > targets[i] for i in range(n)
-            ):
+            # The sums are exact, so "no worse and not equal" is a strict gain.
+            if current != targets and all(c >= t for c, t in zip(current, targets)):
                 bundles: list[list[int]] = [[] for _ in range(n)]
                 for item, agent in enumerate(assignment):
                     bundles[agent].append(item)
@@ -366,12 +366,9 @@ def _find_dominating_allocation(
         for agent in range(n):
             current[agent] += values[agent][depth]
             assignment[depth] = agent
-            if all(
-                current[i] + best_remaining[i][depth + 1] >= targets[i] for i in range(n)
-            ):
+            if all(current[i] + best_remaining[i][depth + 1] >= targets[i] for i in range(n)):
                 found = dfs(depth + 1)
                 if found is not None:
-                    current[agent] -= values[agent][depth]
                     return found
             current[agent] -= values[agent][depth]
         return None

@@ -357,28 +357,29 @@ def certificate_holds(
 ) -> bool:
     """Does a decisive report check against the instance?
 
-    A yes must carry a partition of the items that ``check_proportional``
-    accepts under ``extension``.  A no holds only if its reason refutes the
-    extension (the module docstring says which reason refutes which) and
-    holds on the instance: n does not divide M; two rankings share a best
-    item; fewer items than agents; a Hall violator that
-    :func:`hall_violation_holds` accepts; or n divides M but no allocation
-    of M/n chores per agent avoids every agent's worst-chore window.  False
-    for an undecided report and for any other reason.  Raises
-    ``ExtensionKindMismatchError`` when the extension does not fit the
-    instance's item kind.
+    A yes must carry a partition of the items into n bundles that
+    ``check_proportional`` accepts under ``extension``.  A no holds only if
+    its reason refutes the extension (the module docstring says which
+    reason refutes which) and holds on the instance: n does not divide M;
+    two rankings share a best item; fewer items than agents; a Hall
+    violator that :func:`hall_violation_holds` accepts; or n divides M but
+    no allocation of M/n chores per agent avoids every agent's worst-chore
+    window.  False for an undecided report and for any other reason.  A
+    decisive report raises ``ExtensionKindMismatchError`` when the extension
+    does not fit the instance's item kind.
     """
     n, m = instance.agent_count, instance.item_count
+    if report.exists is None:
+        return False
+    _require_kind_match(extension, instance)
     if report.exists:
         allocation = report.allocation
         return (
             allocation is not None
+            and allocation.agent_count == n
             and allocation.is_partition_of(m)
             and check_proportional(allocation, instance, extension).result
         )
-    if report.exists is None:
-        return False
-    _require_kind_match(extension, instance)
     reason = report.reason
     if not (
         extension in _REFUTED_BY.get(reason, ())

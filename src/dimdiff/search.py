@@ -64,7 +64,9 @@ from . import _pairsearch
 from .core import Allocation, Instance, ItemKind, UtilityFunction
 from .exceptions import BudgetExceededError, UnsupportedExtensionError
 from .extensions import EQUAL_SIZE_RELATIONS, RelationKind, holds, relation_holds, share_holds
-from .fairness import DEFAULT_MAX_STATES, _EF_EXTENSIONS, Criterion, _require_kind_match
+from .fairness import (
+    DEFAULT_MAX_STATES, _EF_EXTENSIONS, Criterion, _require_kind_match, check_envy_free,
+)
 
 _FAST_PR_RELATIONS = {
     RelationKind.NEC: "nec",
@@ -425,16 +427,9 @@ def pddef_witness_search(
         raise ValueError("samples must be >= 1")
     if instance.kind is not ItemKind.GOODS:
         raise UnsupportedExtensionError("the DD witness search applies to goods instances")
-    n = instance.agent_count
-    bundles = [alloc.bundle(i) for i in range(n)]
     rng = random.Random(seed)
     for _ in range(samples):
         profile = tuple(sample_dd_utility(r, rng) for r in instance.rankings)
-        if all(
-            profile[i].of(bundles[i]) >= profile[i].of(bundles[j])
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        ):
+        if check_envy_free(alloc, instance, profile).result:
             return profile
     return None

@@ -1,6 +1,7 @@
 """Domain types: rankings, bundles, utilities, classification."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,11 +136,69 @@ def test_classify_binary(eight_items):
         binary_threshold_utility(eight_items, 0)
 
 
-def test_float_tolerance_in_classification():
+def test_float_classification_is_exact():
     r = level_ranking(4)
-    # Exactly linear up to 1e-15 noise: still counts as both DD and ID.
+    # Linear up to 1e-15 noise is linear no longer: the gaps 1 - 1e-15,
+    # 1 + 1e-15 and 1 are compared exactly, so the utility is neither DD nor ID.
     u = UtilityFunction((1.0, 2.0, 3.0 + 1e-15, 4.0))
-    assert classify_dd(u, r) and classify_id(u, r)
+    assert not classify_dd(u, r) and not classify_id(u, r)
+    assert classify_dd(UtilityFunction((1.0, 2.0, 3.0, 4.0)), r)
     exact = UtilityFunction((Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
     assert classify_dd(exact, r) and not classify_id(exact, r)
+    # The doubles nearest 0.1, 0.2 and 0.3 have 0.1 - 2 * 0.2 + 0.3 < 0
+    # exactly, so they have increasing differences only; as Fractions they
+    # are linear, so both.
+    three = level_ranking(3)
+    decimal = UtilityFunction((0.1, 0.2, 0.3))
+    assert classify_id(decimal, three) and not classify_dd(decimal, three)
+    tenths = UtilityFunction((Fraction(1, 10), Fraction(2, 10), Fraction(3, 10)))
+    assert classify_dd(tenths, three) and classify_id(tenths, three)
+
+
+def exact_sign(utility, plus, minus):
+    total = sum(Fraction(utility.values[i]) for i in plus) - sum(
+        Fraction(utility.values[i]) for i in minus
+    )
+    return (total > 0) - (total < 0)
+
+
+def test_compare_agrees_with_fraction_arithmetic():
+    rng = random.Random(21)
+    draws = (
+        lambda: rng.uniform(-2.0, 2.0),
+        lambda: rng.choice((0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1e-300, 5e-324, 1e300)),
+        lambda: rng.randint(-5, 5),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+    )
+    for trial in range(3000):
+        m = rng.randint(1, 6)
+        if trial % 3 == 0:  # floats only, the fsum path
+            values = [rng.choice(draws[:2])() for _ in range(m)]
+        else:
+            values = [rng.choice(draws)() for _ in range(m)]
+        u = UtilityFunction(values)
+        plus = [rng.randrange(m) for _ in range(rng.randint(0, 6))]
+        minus = [rng.randrange(m) for _ in range(rng.randint(0, 6))]
+        assert u.compare(plus, minus) == exact_sign(u, plus, minus)
+        assert u.compare(minus, plus) == -u.compare(plus, minus)
+    # Decimal-looking ties: the doubles hold 0.3 + 0.1 + 0.2 > 2 * 0.3 and
+    # 0.1 + 0.4 + 0.5 > 2 * 0.5, while as Fractions both tie.
+    for values, own in (((0.3, 0.1, 0.2), 0), ((0.1, 0.4, 0.5), 2)):
+        u = UtilityFunction(values)
+        assert u.compare((own, own), (0, 1, 2)) == -1 == exact_sign(u, (own, own), (0, 1, 2))
+        tenths = UtilityFunction([Fraction(str(v)) for v in values])
+        assert tenths.compare((own, own), (0, 1, 2)) == 0
+    # Partial sums beyond the float range are still decided exactly.
+    huge = UtilityFunction((1.5e308, 1.5e308, 1e-300))
+    assert huge.compare((0, 1), (0, 1, 2)) == -1 == exact_sign(huge, (0, 1), (0, 1, 2))
+    assert huge.compare((0, 1, 2), (0, 1)) == 1
+
+
+def test_utility_refuses_nan_and_inf():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            UtilityFunction((bad, 1.0))
+        with pytest.raises(ValueError):
+            UtilityFunction((Fraction(1), bad))
+    assert UtilityFunction((1.0, Fraction(1, 3), 2)).values == (1.0, Fraction(1, 3), 2)
 

@@ -131,14 +131,16 @@ def test_concrete_profile_consistency():
             assert 2 * u.of(alloc.bundle(agent)) < u.of(inst.full_bundle())
 
 
-def test_concrete_proportionality_adds_like_utility_of():
+def test_concrete_proportionality_adds_exactly():
     # check_proportional sums a profile's values itself; its verdicts must be
-    # those of n * u.of(bundle) < u.of(everything), with no tolerance.
-    def by_utility_of(alloc, inst, profile):
-        n, everything = inst.agent_count, inst.full_bundle()
+    # those of n * u(bundle) < u(everything) in Fraction arithmetic, which
+    # reads every float as its exact binary value.
+    def exactly(alloc, inst, profile):
+        n, m = inst.agent_count, inst.item_count
         return next(
             (agent for agent, u in enumerate(profile)
-             if n * u.of(alloc.bundle(agent)) < u.of(everything)),
+             if n * sum(Fraction(u.values[item]) for item in alloc.bundles[agent])
+             < sum(Fraction(u.values[item]) for item in range(m))),
             None,
         )
 
@@ -159,16 +161,39 @@ def test_concrete_proportionality_adds_like_utility_of():
                                       for _ in range(items + extra)])
                      for _ in range(agents)]
         for profile in (floats, fractions):
-            assert verdict(alloc, inst, profile) == by_utility_of(alloc, inst, profile)
+            assert verdict(alloc, inst, profile) == exactly(alloc, inst, profile)
 
-    # The sums run left to right in item order: 0.3 + 0.1 + 0.2 rounds to
-    # just above 0.6 = 2 * 0.3, so agent 0 falls short, however Python's sum()
-    # would add the floats.
+    # The doubles 0.3, 0.1 and 0.2 sum exactly to more than 2 * 0.3, so agent
+    # 0 falls short, however Python's sum() would add the floats.
     inst = Instance(ItemKind.GOODS, (Ranking((0, 1, 2)), Ranking((2, 1, 0))))
     tie = UtilityFunction((0.3, 0.1, 0.2))
     assert verdict(Allocation(((0,), (1, 2))), inst, [tie, tie]) == 0
     with pytest.raises(KeyError):  # a utility with fewer values than items
         check_proportional(Allocation(((0,), (1, 2))), inst, [UtilityFunction((1, 2)), tie])
+
+
+def test_concrete_verdicts_read_floats_exactly():
+    # The doubles nearest 0.1 and 0.4 sum exactly to 2.8e-17 more than 0.5,
+    # although 0.1 + 0.4 rounds to 0.5.  Fractions tie.
+    inst = Instance(ItemKind.GOODS, (Ranking((2, 1, 0)), Ranking((2, 1, 0))))
+    u = UtilityFunction((0.1, 0.4, 0.5))
+    tenths = UtilityFunction((Fraction(1, 10), Fraction(4, 10), Fraction(5, 10)))
+    holds_two = Allocation(((2,), (0, 1)))
+    verdict = check_proportional(holds_two, inst, [u, u])
+    assert not verdict.result and verdict.certificate == ProportionalityViolation(0)
+    assert check_proportional(holds_two, inst, [tenths, tenths]).result
+    verdict = check_envy_free(holds_two, inst, [u, u])
+    assert not verdict.result and verdict.certificate == EnvyWitness(0, 1)
+    assert check_envy_free(holds_two, inst, [tenths, tenths]).result
+    # Agent 0 gains 2.8e-17 from the swap and agent 1 loses nothing.
+    other = UtilityFunction((0.25, 0.25, 0.5))
+    verdict = check_pareto(holds_two, inst, [u, other])
+    assert not verdict.result
+    assert verdict.certificate == ParetoImprovement(Allocation(((0, 1), (2,))))
+    assert check_pareto(holds_two, inst, [tenths, other]).result
+    # No allocation dominates itself, whichever way sum() rounds 0.1 + 0.2 + 0.3.
+    p = UtilityFunction((0.1, 0.2, 0.3))
+    assert check_pareto(Allocation(((0, 1, 2), ())), inst, [p, p]).result
 
 
 def test_proportional_kind_mismatch():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dimdiff.core import Allocation, Instance, ItemKind, Ranking
+from dimdiff.exceptions import ExtensionKindMismatchError
 from dimdiff.extensions import CHORES_RELATIONS, RelationKind
 from dimdiff.fairness import Criterion, check_proportional
 from dimdiff.protocols import (
@@ -201,6 +202,18 @@ def test_certificate_holds_rejects_false_certificates():
     assert certificate_holds(same_worst, worst, nid)
     assert not certificate_holds(distinct_worst, worst, nid)
     assert certificate_holds(distinct_worst, nidpr_two_agents(distinct_worst), nid)
+
+
+def test_certificate_holds_rejects_a_yes_with_the_wrong_bundle_count():
+    distinct = goods_instance((0, 1, 2, 3), (1, 0, 2, 3))
+    three = Allocation.from_lists([(0,), (1,), (2, 3)])
+    forged = ExistenceReport(True, Reason.CONDITIONS_MET, three)
+    for extension in (RelationKind.NDD, RelationKind.POS):
+        assert not certificate_holds(distinct, forged, extension)
+    assert not certificate_holds(distinct, ExistenceReport(
+        True, Reason.CONDITIONS_MET, Allocation.from_lists([(0, 1, 2, 3)])), RelationKind.POS)
+    with pytest.raises(ExtensionKindMismatchError):
+        certificate_holds(distinct, forged, RelationKind.NID)
 
 
 #: The (reason, extension) pairs a no may carry: each reason rules out the
