@@ -28,7 +28,6 @@ from .exceptions import (
 )
 from .extensions import (
     CHORES_RELATIONS,
-    GOODS_RELATIONS,
     REFUTABLE_RELATIONS,
     RelationKind,
     holds,
@@ -112,13 +111,12 @@ def _require_partition(alloc: Allocation, instance: Instance) -> None:
 
 
 def _require_kind_match(extension: RelationKind, instance: Instance) -> None:
-    if instance.kind is ItemKind.GOODS and extension not in GOODS_RELATIONS:
+    # Every relation is a goods or a chores relation, never both.
+    chores = extension in CHORES_RELATIONS
+    if chores is not (instance.kind is ItemKind.CHORES):
         raise ExtensionKindMismatchError(
-            f"{extension.value} is a chores extension; instance holds goods"
-        )
-    if instance.kind is ItemKind.CHORES and extension not in CHORES_RELATIONS:
-        raise ExtensionKindMismatchError(
-            f"{extension.value} is a goods extension; instance holds chores"
+            f"{extension.value} is a {'chores' if chores else 'goods'} extension;"
+            f" instance holds {instance.kind.value}"
         )
 
 

@@ -172,10 +172,11 @@ def load_preflib_soc(path: str) -> NamedProfile:
 
     Metadata lines start with ``#``; each data line is
     ``count: alt,alt,...`` with 1-based alternative numbers, expanded to
-    ``count`` agents sharing the ranking.  Every count must be at least 1,
-    and every order must rank as many alternatives as
-    ``# NUMBER ALTERNATIVES`` declares (without that line, the highest
-    number named); anything else is a ValueError.
+    ``count`` agents sharing the ranking.  Every count must be at least 1;
+    every order must rank as many alternatives as ``# NUMBER ALTERNATIVES``
+    declares (without that line, the highest number named); and the
+    alternatives' names (``altK`` when unnamed) must be unique.  Anything
+    else is a ValueError.
     """
     names: dict[int, str] = {}
     alternative_count: Optional[int] = None  # None: no header
@@ -213,6 +214,8 @@ def load_preflib_soc(path: str) -> NamedProfile:
     item_names = tuple(
         names.get(number, f"alt{number}") for number in range(1, alternative_count + 1)
     )
+    if len(set(item_names)) != len(item_names):
+        raise ValueError("item names must be unique")
     rankings = []
     agent_names = []
     voter = 0

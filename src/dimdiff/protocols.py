@@ -3,11 +3,14 @@
 Goods: linear-time decisions for necessarily-DD-proportional and
 possibly-proportional allocations, and for possibly-DD-proportional ones at
 two agents or with distinct best items; balanced round-robin and serial
-picks are the constructive halves.  Necessarily-proportional allocations
-are decided for any n by a bipartite matching of slots to items.  Chores:
-a necessary feasibility condition (avoid every agent's worst-chore
-window), an exact two-agent decision that mirrors NDDPR, and a
-three-agent protocol for the special case of near-identical rankings.
+picks are the constructive halves.  Both are turn orders of one picking
+loop, ``_picks``, in which the agent on turn takes its best free item.
+Necessarily-proportional allocations are decided for any n by a bipartite
+matching of slots to items.  Chores: a necessary feasibility condition
+(avoid every agent's worst-chore window), an exact two-agent decision that
+mirrors NDDPR, and a three-agent protocol for the special case of
+near-identical rankings.  Every decision raises
+``ExtensionKindMismatchError`` on an instance of the other item kind.
 
 NDDPR (``_ndd``: the n-copied bundle X is at least as large as the full
 set, and every top-k prefix of its levels sums to at least the full set's
@@ -35,7 +38,7 @@ distinct:
   and n*i - i(i+1)/2 are never negative.
 
 Serial picks: agents 0..n-1 each take their best remaining item, and agent
-n-1 also takes every item left over (M >= n).  Agent i picks from its own
+n-1 then takes every item left over (M >= n).  Agent i picks from its own
 top i+1, since only i items are gone.  The closed forms below rest on it.
 
 PosPR exists iff M >= n.  Under ``_pos`` agent i's n-copied bundle X is
@@ -147,32 +150,37 @@ class ExistenceReport:
     hall_violator: Optional[tuple[tuple[int, int], ...]] = None
 
 
+def _picks(instance: Instance, turns: Iterable[int]) -> Allocation:
+    """On each turn the agent named takes its best free item.
+
+    Each agent's iterator over its ranking is its pointer: every item it
+    has passed is taken.  With strict rankings no pick can tie; every turn
+    must find a free item.
+    """
+    pointers = [iter(ranking.order) for ranking in instance.rankings]
+    taken = [False] * instance.item_count
+    bundles: list[list[int]] = [[] for _ in pointers]
+    for agent in turns:
+        for item in pointers[agent]:
+            if not taken[item]:
+                break
+        taken[item] = True
+        bundles[agent].append(item)
+    return Allocation.from_lists(bundles)
+
+
 def balanced_round_robin(instance: Instance) -> Allocation:
     """Picking protocol with agent order 1..n, then n..1, per round.
 
-    Each agent takes its best remaining item in turn; with strict rankings no
-    pick can tie.  Requires the item count to be a multiple of the agent
-    count so everybody ends up with the same share.
+    Each agent takes its best remaining item in turn.  Requires the item
+    count to be a multiple of the agent count so everybody ends up with the
+    same share.
     """
     n, m = instance.agent_count, instance.item_count
     if m % n:
         raise ValueError(f"{m} items cannot be split evenly among {n} agents")
-    orders = [ranking.order for ranking in instance.rankings]
-    taken = [False] * m
-    first = [0] * n  # every item before first[agent] in the agent's order is taken
-    bundles: list[list[int]] = [[] for _ in range(n)]
     forward = list(range(n))
-    picks = itertools.cycle(forward + forward[::-1])
-    for _ in range(m):
-        agent = next(picks)
-        order = orders[agent]
-        position = first[agent]
-        while taken[order[position]]:
-            position += 1
-        first[agent] = position + 1
-        taken[order[position]] = True
-        bundles[agent].append(order[position])
-    return Allocation.from_lists(bundles)
+    return _picks(instance, itertools.islice(itertools.cycle(forward + forward[::-1]), m))
 
 
 def nddpr_exists(instance: Instance) -> ExistenceReport:
@@ -182,8 +190,7 @@ def nddpr_exists(instance: Instance) -> ExistenceReport:
     that case balanced round-robin constructs a witness in O(M) picks (see
     the module docstring).
     """
-    if instance.kind is not ItemKind.GOODS:
-        raise ValueError("nddpr_exists applies to goods instances")
+    _require_kind_match(RelationKind.NDD, instance)
     n, m = instance.agent_count, instance.item_count
     if m % n:
         return ExistenceReport(False, Reason.NOT_MULTIPLE_OF_N)
@@ -193,33 +200,18 @@ def nddpr_exists(instance: Instance) -> ExistenceReport:
     return ExistenceReport(True, Reason.CONDITIONS_MET, balanced_round_robin(instance))
 
 
-def _serial_picks(instance: Instance) -> Allocation:
-    """Agents 0..n-1 each take their best remaining item; the last agent
-    also takes the leftovers.  Requires at least as many items as agents."""
-    n, m = instance.agent_count, instance.item_count
-    taken = [False] * m
-    bundles: list[list[int]] = [[] for _ in range(n)]
-    for agent, ranking in enumerate(instance.rankings):
-        for item in ranking.order:  # a free item remains, as M >= n
-            if not taken[item]:
-                break
-        taken[item] = True
-        bundles[agent].append(item)
-    bundles[-1] += [i for i in range(m) if not taken[i]]
-    return Allocation.from_lists(bundles)
-
-
 def pospr_exists(instance: Instance) -> ExistenceReport:
     """Decide existence of a possibly-proportional goods allocation.
 
     Exists iff there are at least as many items as agents; serial picks
     construct the witness (see the module docstring).
     """
-    if instance.kind is not ItemKind.GOODS:
-        raise ValueError("pospr_exists applies to goods instances")
-    if instance.item_count < instance.agent_count:
+    _require_kind_match(RelationKind.POS, instance)
+    n, m = instance.agent_count, instance.item_count
+    if m < n:
         return ExistenceReport(False, Reason.FEWER_ITEMS_THAN_AGENTS)
-    return ExistenceReport(True, Reason.CONDITIONS_MET, _serial_picks(instance))
+    serial = itertools.chain(range(n), itertools.repeat(n - 1, m - n))
+    return ExistenceReport(True, Reason.CONDITIONS_MET, _picks(instance, serial))
 
 
 def pddpr_exists(instance: Instance) -> ExistenceReport:
@@ -227,20 +219,17 @@ def pddpr_exists(instance: Instance) -> ExistenceReport:
 
     Decisive with fewer items than agents, with distinct best items, and at
     two agents; undecided (``OUT_OF_THEORY``) for three or more agents that
-    share a best item.  Serial picks construct every witness (see the
-    module docstring).
+    share a best item.  Otherwise the answer and its serial-picks witness
+    are :func:`pospr_exists`'s (see the module docstring).
     """
-    if instance.kind is not ItemKind.GOODS:
-        raise ValueError("pddpr_exists applies to goods instances")
+    _require_kind_match(RelationKind.PDD, instance)
     n, m = instance.agent_count, instance.item_count
-    if m < n:
-        return ExistenceReport(False, Reason.FEWER_ITEMS_THAN_AGENTS)
-    if len({r.best for r in instance.rankings}) < n:
+    if m >= n and len({r.best for r in instance.rankings}) < n:
         if n > 2:
             return ExistenceReport(None, Reason.OUT_OF_THEORY)
         if m < 3:
             return ExistenceReport(False, Reason.SHARED_BEST_ITEM)
-    return ExistenceReport(True, Reason.CONDITIONS_MET, _serial_picks(instance))
+    return pospr_exists(instance)
 
 
 def _augment(root: int, tops: list[tuple[int, ...]], owner: list[Optional[int]]) -> set[int]:
@@ -286,8 +275,7 @@ def necpr_exists(instance: Instance) -> ExistenceReport:
     bundles; a no with ``HALL_VIOLATION`` carries the slots reached by the
     failed augmenting search, fewer items than slots neighbouring them.
     """
-    if instance.kind is not ItemKind.GOODS:
-        raise ValueError("necpr_exists applies to goods instances")
+    _require_kind_match(RelationKind.NEC, instance)
     n, m = instance.agent_count, instance.item_count
     if m % n:
         return ExistenceReport(False, Reason.NOT_MULTIPLE_OF_N)
@@ -401,10 +389,6 @@ def certificate_holds(
 # Chores
 # ---------------------------------------------------------------------------
 
-def _worst_window_size(agent_count: int) -> int:
-    return agent_count // 2  # ceil((n-1)/2)
-
-
 def _avoidance_feasible(instance: Instance) -> bool:
     """Can each agent receive m chores avoiding its worst-chore window?
 
@@ -414,7 +398,7 @@ def _avoidance_feasible(instance: Instance) -> bool:
     """
     n, m = instance.agent_count, instance.item_count
     share = m // n
-    window = _worst_window_size(n)
+    window = n // 2  # ceil((n-1)/2)
     windows = [instance.rankings[i].worst_items(window) for i in range(n)]
     graph = nx.DiGraph()
     source, sink = "s", "t"
@@ -436,8 +420,7 @@ def nidpr_necessary(instance: Instance) -> ExistenceReport:
     assignment is feasible, existence is still open, so the report says
     unknown.  A False is definitive.
     """
-    if instance.kind is not ItemKind.CHORES:
-        raise ValueError("nidpr_necessary applies to chores instances")
+    _require_kind_match(RelationKind.NID, instance)
     n, m = instance.agent_count, instance.item_count
     if m % n:
         return ExistenceReport(False, Reason.NOT_MULTIPLE_OF_N)
@@ -452,8 +435,7 @@ def nidpr_two_agents(instance: Instance) -> ExistenceReport:
     :func:`nddpr_exists` on the reversed rankings, with the witness's two
     bundles swapped (see the module docstring for the proof).
     """
-    if instance.kind is not ItemKind.CHORES:
-        raise ValueError("nidpr_two_agents applies to chores instances")
+    _require_kind_match(RelationKind.NID, instance)
     if instance.agent_count != 2:
         raise ValueError("nidpr_two_agents requires exactly two agents")
     mirror = nddpr_exists(Instance(ItemKind.GOODS, tuple(r.reversed() for r in instance.rankings)))
@@ -479,8 +461,7 @@ def nidpr_three_agents_special(instance: Instance) -> ExistenceReport:
     chores from worst to best, steering each round's worst chore to an agent
     whose accumulated level advantage can absorb it.
     """
-    if instance.kind is not ItemKind.CHORES:
-        raise ValueError("nidpr_three_agents_special applies to chores instances")
+    _require_kind_match(RelationKind.NID, instance)
     if instance.agent_count != 3:
         raise ValueError("nidpr_three_agents_special requires exactly three agents")
     rankings = instance.rankings

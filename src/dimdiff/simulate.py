@@ -24,6 +24,7 @@ certify them on seeded trials of every cell of the full grid.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
@@ -80,9 +81,15 @@ class SimConfig:
         if not noise_levels or not all(map(_valid_noise, noise_levels)):
             raise ValueError("noise levels must be positive and finite")
         object.__setattr__(self, "noise_levels", tuple(float(a) for a in noise_levels))
-        object.__setattr__(
-            self, "item_pair_counts", tuple(int(m) for m in self.item_pair_counts)
-        )
+        try:  # operator.index takes ints and numpy ints, never a float
+            sizes = (
+                tuple(map(operator.index, self.item_pair_counts)),
+                *map(operator.index, (self.trials, self.seed, self.agents)),
+            )
+        except TypeError:
+            raise ValueError("item pair counts, trials, seed and agents must be integers") from None
+        for name, value in zip(("item_pair_counts", "trials", "seed", "agents"), sizes):
+            object.__setattr__(self, name, value)
         if not self.item_pair_counts or any(m < 1 for m in self.item_pair_counts):
             raise ValueError("item pair counts must be >= 1")
         if self.trials < 1:

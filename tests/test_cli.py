@@ -567,6 +567,22 @@ def test_preflib_soc_header_must_match_the_orders(tmp_path, capsys, declared):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [
+    "# ALTERNATIVE NAME 1: a\n# ALTERNATIVE NAME 2: a\n# ALTERNATIVE NAME 3: c\n",
+    "# ALTERNATIVE NAME 1: alt2\n",  # collides with alternative 2's default name
+])
+def test_preflib_soc_duplicate_names_are_usage_error(tmp_path, capsys, header):
+    # Two items with one name would make every named answer ambiguous.
+    path = tmp_path / "names.soc"
+    path.write_text(f"# NUMBER ALTERNATIVES: 3\n{header}1: 1,2,3\n1: 2,1,3\n")
+    with pytest.raises(ValueError, match="item names must be unique"):
+        load_preflib_soc(str(path))
+    assert main([
+        "solve", "--profile", str(path), "--goal", "pospr", "--method", "protocol",
+    ]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("count", [0, -2])
 def test_preflib_soc_nonpositive_count_is_usage_error(tmp_path, capsys, count):
     # A line with no voters is malformed; it must not be dropped silently.

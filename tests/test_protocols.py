@@ -216,6 +216,22 @@ def test_certificate_holds_rejects_a_yes_with_the_wrong_bundle_count():
         certificate_holds(distinct, forged, RelationKind.NID)
 
 
+@pytest.mark.parametrize("decide, kind, agents", [
+    (necpr_exists, ItemKind.CHORES, 2),
+    (nddpr_exists, ItemKind.CHORES, 2),
+    (pddpr_exists, ItemKind.CHORES, 2),
+    (pospr_exists, ItemKind.CHORES, 2),
+    (nidpr_necessary, ItemKind.GOODS, 2),
+    (nidpr_two_agents, ItemKind.GOODS, 2),
+    (nidpr_three_agents_special, ItemKind.GOODS, 3),
+])
+def test_every_decision_refuses_the_other_item_kind(decide, kind, agents):
+    # The agent count fits the decision, so only the item kind is wrong.
+    rankings = tuple(Ranking(tuple(range(2 * agents))) for _ in range(agents))
+    with pytest.raises(ExtensionKindMismatchError):
+        decide(Instance(kind, rankings))
+
+
 #: The (reason, extension) pairs a no may carry: each reason rules out the
 #: proportional allocations of these extensions, and of no others.
 REFUTING_PAIRS = {

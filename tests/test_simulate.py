@@ -57,6 +57,14 @@ def test_config_validation():
     full = full_grid_config(0)
     assert len(full.noise_levels) == 10 and full.item_pair_counts == tuple(range(2, 9))
     assert full.trials == 1000 and full.agents == 2
+    # Sizes must be integers: 2.7 item pairs would run m = 2, and 2.5 trials
+    # would fail only inside run_experiment.  numpy ints are integers.
+    for sizes in (((2.7,), 10, 1, 2), ((2,), 2.5, 1, 2), ((2,), 10, 1.5, 2), ((2,), 10, 1, 2.0)):
+        with pytest.raises(ValueError):
+            SimConfig((0.5,), *sizes)
+    numpy_sizes = SimConfig((0.5,), (np.int64(2),), np.int64(10), np.int32(1), np.int8(3))
+    assert numpy_sizes == SimConfig((0.5,), (2,), 10, 1, 3)
+    assert type(numpy_sizes.trials) is int
 
 
 def test_generate_profile_golden_fixture():
