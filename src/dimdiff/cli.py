@@ -255,7 +255,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.config:
-        config = _sim_config_from_json(read_json(args.config), args.seed)
+        config = _sim_config_from_json(read_json(args.config), args.seed, args.trials)
     else:
         config = full_grid_config(args.seed, trials=args.trials)
     cells = main_csv(config, args.out, progress=args.progress)
@@ -268,8 +268,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_HOLDS
 
 
-def _sim_config_from_json(raw: object, seed: int) -> SimConfig:
-    """Decode a ``simulate --config`` payload; ValueError on a wrong shape."""
+def _sim_config_from_json(raw: object, seed: int, trials: int) -> SimConfig:
+    """Decode a ``simulate --config`` payload; ValueError on a wrong shape.
+
+    ``trials`` (the ``--trials`` option) applies when the payload has no
+    ``"trials"`` of its own.
+    """
     if not isinstance(raw, dict):
         raise ValueError("a simulation config must be a JSON object")
     for key, kinds, noun in (
@@ -287,7 +291,7 @@ def _sim_config_from_json(raw: object, seed: int) -> SimConfig:
     return SimConfig(
         noise_levels=tuple(raw["noise_levels"]),
         item_pair_counts=tuple(raw["item_pair_counts"]),
-        trials=raw.get("trials", 1000),
+        trials=raw.get("trials", trials),
         seed=seed,
         agents=raw.get("agents", 2),
     )

@@ -188,48 +188,42 @@ def reduce_x3c(x3c: X3CInstance) -> ReducedInstance:
     exists iff the cover does.
     """
     q, n = x3c.cover_size, x3c.triplet_count
-    main_items = tuple(range(3 * q))
-    dummy_triples = tuple(
-        (3 * q + 3 * i, 3 * q + 3 * i + 1, 3 * q + 3 * i + 2) for i in range(n)
-    )
-    aux_base = 3 * q + 3 * n
-    aux_triples = tuple(
-        (aux_base + 3 * j, aux_base + 3 * j + 1, aux_base + 3 * j + 2)
-        for j in range(n - q)
-    )
-    agent_triples = tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(n))
-    dummies = frozenset(range(3 * q, aux_base))
+    dummy_base, aux_base = 3 * q, 3 * q + 3 * n
+    main_items = tuple(range(dummy_base))
+    dummy_triples = tuple((d, d + 1, d + 2) for d in range(dummy_base, aux_base, 3))
+    aux_triples = tuple((x, x + 1, x + 2) for x in range(aux_base, 6 * n, 3))
+    agent_triples = tuple((a, a + 1, a + 2) for a in range(0, 3 * n, 3))
     gaps = _gap_triples(x3c)
+    # Item 4 of every agent with shift s: the auxiliary blocks, each shifted.
+    aux_runs = [[x for t in aux_triples for x in t[s:] + t[:s]] for s in range(3)]
+    # The first foreign main goes right below the gap dummy when no
+    # auxiliary block comes between them; every other one gets a separator.
+    unseparated = 1 if not aux_triples and n > 1 else 0
 
     rankings = []
     for i in range(n):
-        own_main = tuple(main_items[e] for e in x3c.triplets[i])
-        foreign_mains = sorted(set(main_items) - set(own_main))
-        for shift in range(3):
-            order: list[int] = []
-            order += _cycled(dummy_triples[i], shift)
-            order += _cycled(own_main, shift)
-            spare = [d for t in dummy_triples if t != dummy_triples[i] for d in t]
+        own_dummies, own_main = dummy_triples[i], x3c.triplets[i]  # main item e is e
+        foreign = sorted(set(main_items).difference(own_main))
+        separated = len(foreign) - unseparated
+        # The other triples' dummies, ascending: the separators.
+        others = [*range(dummy_base, own_dummies[0]), *range(own_dummies[0] + 3, aux_base)]
+        for s in range(3):
+            order = [*own_dummies[s:], *own_dummies[:s], *own_main[s:], *own_main[:s]]
+            spare = others.copy()
             if gaps[i] is not None:
-                gap = dummy_triples[gaps[i]][shift]
+                gap = dummy_triples[gaps[i]][s]
                 order.append(gap)
                 spare.remove(gap)
-            for aux in aux_triples:
-                order += _cycled(aux, shift)
-            separators = iter(spare)
-            for main in foreign_mains:
-                if order[-1] not in dummies:
-                    order.append(next(separators))
-                order.append(main)
-            order += separators
+            order += aux_runs[s]
+            order += foreign[:unseparated]
+            interleaved = [0] * (2 * separated)
+            interleaved[::2], interleaved[1::2] = spare[:separated], foreign[unseparated:]
+            order += interleaved
+            order += spare[separated:]
             rankings.append(Ranking(tuple(order)))
 
     instance = Instance(kind=ItemKind.GOODS, rankings=tuple(rankings))
     return ReducedInstance(instance, main_items, dummy_triples, aux_triples, agent_triples)
-
-
-def _cycled(triple: tuple[int, int, int], shift: int) -> list[int]:
-    return [triple[(shift + k) % 3] for k in range(3)]
 
 
 def _gap_triples(x3c: X3CInstance) -> tuple[Optional[int], ...]:
@@ -341,10 +335,13 @@ def nddef_search_reduced(reduced: ReducedInstance) -> Optional[Allocation]:
     the pairwise relation is level-sum dominance under the observer's
     ranking.  With ``l_a(top_a) = M``, agent a holding i tolerates agent b
     holding j iff ``l_a(j) <= l_a(i) + M - l_a(top_b)``: a level threshold.
+    The levels are the rankings' own ``Ranking.levels``, in the smallest
+    unsigned dtype that holds 2M, so a level plus a slack never overflows.
     ``ok[a, k, b, j]`` (see ``_mutual_tolerance``) says that a holding free
     item k and b holding free item j != k tolerate each other.  It holds
-    n^4 booleans for n agents (20 KB at 12 agents, 194 KB at 21), kept for
-    the call with a copy packed one bit an entry into an int.
+    n^4 booleans for n agents, kept for the call with a copy packed one bit
+    an entry into an int; ``_arc_consistent`` reads a float32 copy of it.
+    That is 20 KB + 83 KB at 12 agents and 194 KB + 778 KB at 21.
 
     Before the search, ``_arc_consistent`` drops every (agent, item) pair
     that some other agent cannot answer with a tolerated item of its own,
@@ -376,7 +373,7 @@ def nddef_search_reduced(reduced: ReducedInstance) -> Optional[Allocation]:
 
     # level[a, k]: agent a's level of free item k (bit k of every mask).
     # slack[a, b] = M - l_a(top_b): how far above its own item a lets b's go.
-    levels = m - np.argsort([r.order for r in rankings], axis=1)
+    levels = np.array([r.levels for r in rankings], dtype=np.min_scalar_type(2 * m))
     level, slack = levels[:, free_items], m - levels[:, top_dummy]
     ok = _mutual_tolerance(level, slack)
     kept = _arc_consistent(ok)
@@ -440,10 +437,13 @@ def _mutual_tolerance(level: np.ndarray, slack: np.ndarray) -> np.ndarray:
     """``ok[a, k, b, j]``: a holding free item k and b holding free item j
     tolerate each other, for agents a != b and items j != k.  ``ok[a, :, a, :]``
     is all True, since an agent places no condition on itself."""
-    each = np.arange(len(level))
-    # tolerates[a, k, b, j]: l_a(j) <= l_a(k) + slack[a, b].
-    tolerates = level[:, None, None, :] <= level[:, :, None, None] + slack[:, None, :, None]
-    ok = tolerates & tolerates.transpose(2, 3, 0, 1)
+    agents = len(level)
+    each = np.arange(agents)
+    # tolerates[a * n + k, b * n + j]: l_a(j) <= l_a(k) + slack[a, b], one
+    # comparison of rows of length n^2 per (a, k) rather than n per (a, k, b).
+    reach = (level[:, :, None] + slack[:, None, :]).reshape(agents, agents * agents, 1)
+    tolerates = (level[:, None, :] <= reach).reshape(agents * agents, agents * agents)
+    ok = (tolerates & tolerates.T).reshape(agents, agents, agents, agents)
     ok[:, each, :, each] = False
     ok[each, :, each, :] = True
     return ok
@@ -456,22 +456,27 @@ def _arc_consistent(ok: np.ndarray) -> Optional[np.ndarray]:
 
     b's item j stays while each agent c keeps some item k with
     ``ok[c, k, b, j]``.  In an envy-free allocation c's own item answers
-    b's, so no pair of one is ever dropped.  Domains only shrink, so one
-    emptied at any pass is still empty at the end.
+    b's, so no pair of one is ever dropped.  Each pass recomputes the
+    domains from the last ones; fewer kept items never answer more, so the
+    domains only shrink.  So an item that no agent keeps after some pass is
+    left out at the end, and the filter answers None there; an agent whose
+    domain empties leaves every item out one pass later.
     """
     agents = len(ok)
-    by_owner = ok.reshape(agents, agents, agents * agents)
-    kept, count = np.ones((agents, agents), dtype=bool), agents * agents
+    # A float32 product counts the answers, at most n per entry and so
+    # exactly, in one BLAS call per agent; a boolean product loops in numpy.
+    by_owner = ok.reshape(agents, agents, agents * agents).astype(np.float32)
+    kept, count = np.ones((agents, 1, agents), dtype=np.float32), agents * agents
     while True:
-        # answered[c, 0, b * agents + j]: c keeps an item tolerating b's j.
-        answered = kept[:, None, :] @ by_owner
-        kept &= answered.reshape(agents, agents, agents).all(axis=0)
-        count, last = np.count_nonzero(kept), count
+        # fewest[0, b * n + j]: over the agents c, the fewest items c keeps
+        # with ok[c, k, b, j].  kept[b, 0, j] is 1 where that is > 0, else 0.
+        fewest = (kept @ by_owner).min(axis=0)
+        kept = np.sign(fewest).reshape(agents, 1, agents)
+        if not kept.any(axis=0).all():
+            return None
+        count, last = np.count_nonzero(fewest), count
         if count == last:
-            break
-    if kept.any(axis=1).all() and kept.any(axis=0).all():
-        return kept
-    return None
+            return kept.reshape(agents, agents) > 0
 
 
 def _bits(flags: np.ndarray) -> int:

@@ -17,8 +17,11 @@ violator) holds.  The possible and possibly-DD columns come from the closed
 forms ``pospr_exists`` and ``pddpr_exists`` whenever they are decisive,
 which is every trial except those of three or more agents sharing a best
 item; only those fall back to exhaustive search, so no two-agent trial
-searches.  Trials do not check the pospr and pddpr witnesses; the tests
-certify them on seeded trials of every cell of the full grid.
+searches.  Where ``pddpr_exists`` answers with ``pospr_exists``'s own
+report, the trial reads that report for both columns and so builds the
+serial-picks witness once.  Trials do not check the pospr and pddpr
+witnesses; the tests certify them on seeded trials of every cell of the
+full grid.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .core import (
 )
 from .fairness import check_proportional
 from .protocols import (
+    Reason,
     certificate_holds,
     necpr_exists,
     nddpr_exists,
@@ -55,6 +59,10 @@ _COLUMNS = ("necpr", "nddpr", "pddpr", "pospr")
 
 #: Columns whose every answer carries a certificate checked per trial.
 _CERTIFIED = ("necpr", "nddpr")
+
+#: The reasons of pospr_exists's reports.  pddpr_exists answers with
+#: pospr_exists's report unchanged whenever it gives one of them.
+_POSPR_REASONS = frozenset({Reason.CONDITIONS_MET, Reason.FEWER_ITEMS_THAN_AGENTS})
 
 
 def _valid_noise(amplitude: float) -> bool:
@@ -179,8 +187,9 @@ def run_trial(
         "necpr": necpr_exists(instance),
         "nddpr": nddpr_exists(instance),
         "pddpr": pddpr_exists(instance),
-        "pospr": pospr_exists(instance),
     }
+    pddpr = reports["pddpr"]
+    reports["pospr"] = pddpr if pddpr.reason in _POSPR_REASONS else pospr_exists(instance)
     for name in _CERTIFIED:
         if not certificate_holds(instance, reports[name], GOALS[name].extension):
             raise AssertionError(f"{name} certificate failed its check: {reports[name]}")

@@ -508,6 +508,20 @@ def test_simulate_deterministic_csv(tmp_path, capsys):
     assert "# seed=99" in text
 
 
+def test_simulate_config_without_trials_takes_the_trials_option(tmp_path, capsys):
+    # --trials fills in a config without "trials"; a config's own wins.
+    config = tmp_path / "config.json"
+    out = tmp_path / "out.csv"
+    for payload, trials in (({}, "3"), ({"trials": 2}, "2")):
+        config.write_text(json.dumps({"noise_levels": [0.5], "item_pair_counts": [2], **payload}))
+        assert main([
+            "simulate", "--config", str(config), "--seed", "1", "--out", str(out),
+            "--trials", "3",
+        ]) == 0
+        row = out.read_text().splitlines()[-1].split(",")
+        assert row[:3] == ["0.5000", "2", trials]
+
+
 # --- profile round trips --------------------------------------------------------
 
 def test_profile_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 """Exact-3-cover solver, the envy-freeness reduction, structured search."""
 
+import hashlib
 import itertools
 import random
 
@@ -184,16 +185,20 @@ def forward_checking_search(reduced, pinned=None):
     )
 
 
-def root_filter(reduced):
-    """The root filter's domains ``kept[agent, k]`` (None when it refutes),
-    on tolerance tables built from ``Ranking.level``."""
+def tolerance_table(reduced):
+    """``_mutual_tolerance``'s table, on levels read with ``Ranking.level``."""
     rankings = reduced.instance.rankings
     m = reduced.instance.item_count
     tops = [r.best for r in rankings]
     free = sorted(set(range(m)) - set(tops))
     level = np.array([[r.level(item) for item in free] for r in rankings])
     slack = m - np.array([[r.level(t) for t in tops] for r in rankings])
-    return _arc_consistent(_mutual_tolerance(level, slack))
+    return _mutual_tolerance(level, slack)
+
+
+def root_filter(reduced):
+    """The root filter's domains ``kept[agent, k]`` (None when it refutes)."""
+    return _arc_consistent(tolerance_table(reduced))
 
 
 # --- instance type ------------------------------------------------------------
@@ -572,3 +577,85 @@ def test_cover_always_yields_envy_free_allocation():
         witness = nddef_search_reduced(reduced)
         assert witness is not None
         assert check_envy_free(witness, reduced.instance, RelationKind.NDD).result
+
+
+#: SHA-256 of the orders of reduce_x3c's rankings and of the witness of
+#: nddef_search_reduced on golden_x3c_instances(), recorded before the
+#: reduction built its orders from shared blocks and the search read its
+#: levels from Ranking.levels.
+REDUCTION_SHA256 = "d04f32a4a609c901b3b975bb745099911e653f0a3fac2207f644a6a251c27f6d"
+
+
+def golden_x3c_instances():
+    """12 seeded instances per (kind, q, n), q = 1..3, n = q..q+3: uniform
+    random triples, and planted covers shuffled in with random triples."""
+    for draw in (_random_x3c, _planted_x3c):
+        for q in range(1, 4):
+            for n in range(q, q + 4):
+                rng = random.Random(f"reduction/{draw.__name__}/{q}/{n}")
+                for _ in range(12):
+                    yield draw(rng, q, n)
+
+
+def test_reduction_and_search_match_their_golden_outputs():
+    digest = hashlib.sha256()
+    for x3c in golden_x3c_instances():
+        reduced = reduce_x3c(x3c)
+        witness = nddef_search_reduced(reduced)
+        digest.update(repr((
+            [r.order for r in reduced.instance.rankings],
+            None if witness is None else witness.bundles,
+        )).encode())
+    assert digest.hexdigest() == REDUCTION_SHA256
+
+
+def arc_consistent_by_sets(ok):
+    """``_arc_consistent`` from its docstring, on sets: drop b's item j while
+    some agent c keeps no item k with ok[c, k, b, j], until nothing changes."""
+    agents = range(len(ok))
+    kept = {(b, j) for b in agents for j in agents}
+    while True:
+        answered = {
+            (b, j) for b, j in kept
+            if all(any((c, k) in kept and ok[c, k, b, j] for k in agents) for c in agents)
+        }
+        if answered == kept:
+            break
+        kept = answered
+    if {b for b, _ in kept} != set(agents) or {j for _, j in kept} != set(agents):
+        return None
+    return kept
+
+
+def _assert_arc_consistent_by_sets(ok):
+    kept, reference = _arc_consistent(ok), arc_consistent_by_sets(ok)
+    assert (kept is None) == (reference is None)
+    if kept is not None:
+        assert kept.dtype == bool and kept.shape == (len(ok), len(ok))
+        assert set(map(tuple, np.argwhere(kept).tolist())) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8), st.floats(0.3, 1.0), st.integers(0, 2**32 - 1),
+    st.sampled_from(["all", "agent", "item"]),
+)
+def test_arc_consistent_matches_its_definition(agents, density, seed, leave_out):
+    rng = np.random.default_rng(seed)
+    ok = rng.random((agents,) * 4) < density
+    # Leave one agent without answers from anyone, or one item held by no one.
+    if leave_out == "agent":
+        ok[:, :, rng.integers(agents), :] = False
+    elif leave_out == "item":
+        ok[:, :, :, rng.integers(agents)] = False
+    _assert_arc_consistent_by_sets(ok)
+
+
+def test_arc_consistent_matches_its_definition_at_21_agents():
+    # The tables of seven-triple reductions (the first keeps 315 of 441
+    # pairs, the other two refute), and a random table of the same size
+    # that keeps 408.
+    rng = random.Random(21)
+    for x3c in (_planted_x3c(rng, 3, 7), _random_x3c(rng, 3, 7), _random_x3c(rng, 4, 7)):
+        _assert_arc_consistent_by_sets(tolerance_table(reduce_x3c(x3c)))
+    _assert_arc_consistent_by_sets(np.random.default_rng(21).random((21,) * 4) < 0.25)

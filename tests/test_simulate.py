@@ -1,21 +1,25 @@
 """Monte-Carlo experiment: profile generation, trials, aggregation, CSV."""
 
 import io
+import itertools
+import random
 
 import numpy as np
 import pytest
 
 from dimdiff import simulate
-from dimdiff.core import ItemKind, UtilityFunction, classify_dd
+from dimdiff.core import Instance, ItemKind, Ranking, UtilityFunction, classify_dd
 from dimdiff.fairness import Criterion, FairnessVerdict, ProportionalityViolation
 from dimdiff.protocols import (
     ExistenceReport,
     Reason,
     certificate_holds,
+    necpr_exists,
+    nddpr_exists,
     pddpr_exists,
     pospr_exists,
 )
-from dimdiff.search import GOALS
+from dimdiff.search import GOALS, exists_allocation
 from dimdiff.simulate import (
     CSV_HEADER,
     SimConfig,
@@ -26,6 +30,7 @@ from dimdiff.simulate import (
     trial_rng,
     write_csv,
 )
+from test_protocols import golden_profiles
 
 
 def small_config(seed=7, trials=40):
@@ -223,3 +228,61 @@ def test_possible_witnesses_certify_on_grid_sized_trials():
                     report = decide(instance)
                     assert report.exists
                     assert certificate_holds(instance, report, GOALS[name].extension), name
+
+
+def _shared_best_profiles():
+    """Seeded goods profiles of n = 3..5 agents whose first two agents share
+    their best item, with M = n - 1 .. n + 4 items."""
+    rng = random.Random("shared-best")
+    for n in range(3, 6):
+        for m in range(n - 1, n + 5):
+            for _ in range(12):
+                orders = [rng.sample(range(m), m) for _ in range(n)]
+                first = orders[0][0]
+                orders[1].remove(first)
+                orders[1].insert(0, first)
+                yield Instance(ItemKind.GOODS, tuple(Ranking(tuple(o)) for o in orders))
+
+
+def test_pddpr_passes_on_the_pospr_report():
+    # run_trial reads pddpr_exists's report as pospr's whenever its reason is
+    # one pospr_exists gives; there the two reports must be the same.
+    passed_on = 0
+    for instance in itertools.chain(golden_profiles(), _shared_best_profiles()):
+        pddpr = pddpr_exists(instance)
+        if pddpr.reason in simulate._POSPR_REASONS:
+            assert pddpr == pospr_exists(instance)
+            passed_on += 1
+        else:
+            assert pddpr.reason in (Reason.SHARED_BEST_ITEM, Reason.OUT_OF_THEORY)
+            assert pospr_exists(instance).reason in simulate._POSPR_REASONS
+    assert 0 < passed_on < 1080 + 3 * 6 * 12
+
+
+def test_three_agent_columns_match_the_decisions():
+    # Every column of a three-agent grid against the four decisions, called
+    # one by one, with exhaustive search where a decision is undecided.
+    config = SimConfig((0.1, 1.0), (2, 3), trials=12, seed=5, agents=3)
+    cells = run_experiment(config)
+    decisions = {
+        "necpr": necpr_exists, "nddpr": nddpr_exists,
+        "pddpr": pddpr_exists, "pospr": pospr_exists,
+    }
+    undecided = 0
+    for cell, (ai, mi) in zip(cells, itertools.product(range(2), range(2))):
+        tallies = dict.fromkeys(decisions, 0)
+        for trial in range(config.trials):
+            _, instance = generate_profile(
+                config.item_pair_counts[mi], config.noise_levels[ai],
+                trial_rng(config.seed, ai, mi, trial), agents=3,
+            )
+            for name, decide in decisions.items():
+                answer = decide(instance).exists
+                if answer is None:
+                    undecided += 1
+                    answer = exists_allocation(instance, GOALS[name]) is not None
+                tallies[name] += answer
+        assert (cell.p_necpr, cell.p_nddpr, cell.p_pddpr, cell.p_pospr) == tuple(
+            tallies[name] / config.trials for name in decisions
+        )
+    assert undecided
