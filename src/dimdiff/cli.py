@@ -219,14 +219,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         elif goal == "pospr":
             report = pospr_exists(instance)
         elif goal == "nidpr":
-            if method == "condition":
+            if method == "condition" or instance.agent_count not in (2, 3):
                 report = nidpr_necessary(instance)
             elif instance.agent_count == 2:
                 report = nidpr_two_agents(instance)
-            elif instance.agent_count == 3:
-                report = nidpr_three_agents_special(instance)
             else:
-                raise ValueError("no protocol covers this number of agents")
+                report = nidpr_three_agents_special(instance)
         else:
             raise ValueError(f"goal {goal} has no {method} method; use --method search")
         if method == "condition":

@@ -20,13 +20,14 @@ failure, two rankings sharing a best item, fewer items than agents, or a
 Hall violator).  The chores decisions, all for the goal ``nidpr``, are
 ``nidpr_necessary`` at every n, ``nidpr_two_agents`` at n = 2 and
 ``nidpr_three_agents_special`` at n = 3 (their reasons: a divisibility
-failure, or no balanced allocation avoiding every agent's worst-chore
-window).  Undecided answers are counted per decision, with how many of
-them the search says exist.
+failure, or a Hall violator of the assignment of M/n chores to each agent
+outside its worst-chore window).  Undecided answers are counted per
+decision, with how many of them the search says exist.
 
 Each profile also gets a forged no of every reason under every goal the
-sweep searches (the Hall violator taken from ``necpr_exists``): where
-``certificate_holds`` accepts one, the search must find no allocation.
+sweep searches (the Hall violator taken from ``necpr_exists`` on goods and
+from ``nidpr_necessary`` on chores): where ``certificate_holds`` accepts
+one, the search must find no allocation.
 The accepted (reason, goal) pairs are counted.  The exit status is nonzero
 on any fault.
 """
@@ -93,9 +94,10 @@ def forged_faults(instance, extensions, exists):
     ``extensions``: the (reason, extension) pairs ``certificate_holds``
     accepts, and why an accepted pair is wrong, that is, ``exists(extension)``
     says an allocation exists (called only for accepted pairs)."""
-    violator = None
     if instance.kind is ItemKind.GOODS:
         violator = necpr_exists(instance).hall_violator
+    else:
+        violator = nidpr_necessary(instance).hall_violator
     accepted = []
     found = []
     for reason in Reason:

@@ -336,6 +336,39 @@ def test_solve_nidpr(profile_path, capsys):
     assert main(["solve", "--profile", path, "--goal", "nidpr", "--method", "search"]) == 0
 
 
+def chores_profile(*orders):
+    """Chores 0..M-1 (named by their ids) and agents a0, a1, ... ranking them."""
+    return {
+        "kind": "chores",
+        "items": [str(i) for i in range(len(orders[0]))],
+        "agents": [
+            {"name": f"a{i}", "ranking": [str(c) for c in order]} for i, order in enumerate(orders)
+        ],
+    }
+
+
+def test_solve_nidpr_protocol_beyond_three_agents(profile_path, capsys):
+    # No protocol covers four agents, so the answer is nidpr_necessary's:
+    # a checkable no or undecided.
+    def solve(payload):
+        path = profile_path(payload)
+        code = main(
+            ["solve", "--json", "--profile", path, "--goal", "nidpr", "--method", "protocol"]
+        )
+        return code, json.loads(capsys.readouterr().out)
+
+    code, out = solve(chores_profile(*[range(5)] * 4))
+    assert code == 1 and out["reason"] == "not_multiple_of_n"
+    # Every agent's worst two are 2 and 3: the slots (a0, 1), (a1, 1) and
+    # (a2, 1) neighbour only chores 0 and 1.
+    code, out = solve(chores_profile((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)))
+    assert code == 1 and out["reason"] == "shared_worst_window_infeasible"
+    assert out["hall_violator"] == [["a0", 1], ["a1", 1], ["a2", 1]]
+    rotations = [tuple((c + 2 * i) % 8 for c in range(8)) for i in range(4)]
+    code, out = solve(chores_profile(*rotations))
+    assert code == 3 and out["exists"] is None
+
+
 @pytest.mark.parametrize("method", ["condition", "protocol"])
 def test_solve_necpr_matching(profile_path, capsys, method):
     # OPPOSITE: both agents' second slots may take only items 4, 3 and 2,

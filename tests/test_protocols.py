@@ -25,7 +25,7 @@ from dimdiff.protocols import (
     pddpr_exists,
     pospr_exists,
 )
-from dimdiff.search import AllocationGoal, exists_allocation
+from dimdiff.search import AllocationGoal, enumerate_allocations, exists_allocation
 from sweep_existence import DECISIONS, faults, forged_faults, profiles
 
 
@@ -192,15 +192,17 @@ def test_certificate_holds_rejects_false_certificates():
     partial = Allocation.from_lists([(0, 2), (1,)])
     assert not certificate_holds(distinct, ExistenceReport(True, Reason.CONDITIONS_MET, partial), ndd)
     assert not certificate_holds(distinct, ExistenceReport(True, Reason.CONDITIONS_MET), ndd)
-    # Chores: a worst-window no holds only where the avoidance assignment
-    # is infeasible, and an NID witness must be one that the extension
-    # accepts.
+    # Chores: a worst-window no holds only with a Hall violator of the
+    # worst-window assignment (a bare one has none), and an NID witness
+    # must be one that the extension accepts.
     nid = RelationKind.NID
     worst = ExistenceReport(False, Reason.SHARED_WORST_WINDOW_INFEASIBLE)
     same_worst = Instance(ItemKind.CHORES, (Ranking((0, 1, 2, 3)), Ranking((1, 0, 2, 3))))
     distinct_worst = Instance(ItemKind.CHORES, (Ranking((0, 1, 2, 3)), Ranking((0, 1, 3, 2))))
-    assert certificate_holds(same_worst, worst, nid)
+    assert not certificate_holds(same_worst, worst, nid)
     assert not certificate_holds(distinct_worst, worst, nid)
+    assert certificate_holds(same_worst, nidpr_necessary(same_worst), nid)
+    assert not certificate_holds(distinct_worst, nidpr_necessary(same_worst), nid)
     assert certificate_holds(distinct_worst, nidpr_two_agents(distinct_worst), nid)
 
 
@@ -428,6 +430,8 @@ def test_nidpr_necessary_eight_chore_example():
     report = nidpr_necessary(inst)
     assert report.exists is False
     assert report.reason is Reason.SHARED_WORST_WINDOW_INFEASIBLE
+    # All eight slots (i, 1..2) neighbour only the seven chores other than y.
+    assert report.hall_violator == tuple((i, j) for i in range(4) for j in (1, 2))
     assert (
         exists_allocation(inst, AllocationGoal(Criterion.PROPORTIONALITY, RelationKind.NID))
         is None
@@ -446,6 +450,72 @@ def test_nidpr_necessary_uneven():
     assert report.exists is False and report.reason is Reason.NOT_MULTIPLE_OF_N
     with pytest.raises(ValueError):
         nidpr_necessary(Instance(ItemKind.GOODS, (Ranking((0, 1)), Ranking((1, 0)))))
+
+
+def avoids_worst_windows(instance):
+    """The oracle: does some balanced allocation keep every agent's chores
+    outside its worst n // 2?"""
+    windows = [r.worst_items(instance.agent_count // 2) for r in instance.rankings]
+    return any(
+        all(window.isdisjoint(bundle) for window, bundle in zip(windows, allocation.bundles))
+        for allocation in enumerate_allocations(instance, equal_sizes=True)
+    )
+
+
+def window_profiles():
+    """Every chores profile with the first ranking fixed at n = 2, M <= 6
+    and n = 3, M = 3; then 24 seeded profiles per shape at n = 3..6 with
+    M = n, and at n = 3, 4 with M = 2n, and 4 at 5 x 10, every other one a
+    perturbation of one shared order by adjacent swaps.  (The oracle
+    enumerates every balanced allocation for a no: 113,400 at 5 x 10, about
+    1 s on a 2-core machine, and 7.5 million at 6 x 12, which is left
+    out.)"""
+    for agents, limit in ((2, 6), (3, 3)):
+        for items in range(1, limit + 1):
+            yield from profiles(agents, items, ItemKind.CHORES)
+    rng = random.Random(27)
+    shapes = ((3, 3, 24), (3, 6, 24), (4, 4, 24), (4, 8, 24), (5, 5, 24), (6, 6, 24), (5, 10, 4))
+    for agents, items, count in shapes:
+        for k in range(count):
+            if k % 2:
+                yield random_instance(rng, agents, items, ItemKind.CHORES)
+                continue
+            base = rng.sample(range(items), items)
+            orders = []
+            for _ in range(agents):
+                order = list(base)
+                for _ in range(rng.randrange(items)):
+                    p = rng.randrange(items - 1)
+                    order[p], order[p + 1] = order[p + 1], order[p]
+                orders.append(tuple(order))
+            yield chores_instance(*orders)
+
+
+def test_nidpr_necessary_matches_the_balanced_allocation_oracle():
+    nos = 0
+    for instance in window_profiles():
+        report = nidpr_necessary(instance)
+        assert (report.exists is False) == (not avoids_worst_windows(instance)), [
+            r.order for r in instance.rankings
+        ]
+        if report.reason is Reason.SHARED_WORST_WINDOW_INFEASIBLE:
+            nos += 1
+            assert hall_violation_holds(instance, report.hall_violator)
+    assert nos > 0
+
+
+def test_hall_violation_holds_recomputes_the_worst_window_slots():
+    # Every agent's worst two are {2, 3}, so each slot neighbours {0, 1}.
+    shared = chores_instance((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))
+    violator = nidpr_necessary(shared).hall_violator
+    assert violator == ((0, 1), (1, 1), (2, 1))
+    assert hall_violation_holds(shared, violator)
+    # M/n = 1, so slot (0, 2) does not exist.
+    assert not hall_violation_holds(shared, violator + ((0, 2),))
+    # Here the slots neighbour {0, 1}, {2, 3} and {1, 2}, and a matching exists.
+    feasible = chores_instance((0, 1, 2, 3), (2, 3, 0, 1), (1, 2, 3, 0), (3, 0, 1, 2))
+    assert nidpr_necessary(feasible).exists is None
+    assert not hall_violation_holds(feasible, violator)
 
 
 def test_nidpr_necessary_is_conservative():
